@@ -26,8 +26,6 @@ from .lattice import (
     downset_lattice,
     is_boolean,
     lattice_from_order,
-    lattice_from_poset,
-    leq,
     relative_complement,
     relative_complements,
     validate_laws,
@@ -40,7 +38,6 @@ from .spectrum import (
     finite_topology_report,
     join_irreducibles,
     prime_filters_bruteforce,
-    sigma,
 )
 from .preference import (
     WeakOrder,
@@ -52,7 +49,6 @@ from .preference import (
 )
 from .duality import (
     DualityCertificate,
-    PointOrder,
     dual_backward,
     dual_forward,
     filter_witness,

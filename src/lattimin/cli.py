@@ -17,7 +17,6 @@ from . import __version__
 from .duality import roundtrip_check, duality_equivalence_report
 from .errors import AxiomViolation, LattiminError
 from .io import (
-    FormatError,
     load_lattice,
     load_preference,
     load_representation,
@@ -25,7 +24,7 @@ from .io import (
     spectrum_to_dict,
 )
 from .lattice import check_hom, validate_laws
-from .preference import check_axiom1, check_axiom2, check_axiom3, axioms12_hold
+from .preference import WeakOrder, check_axiom1, check_axiom2, check_axiom3, axioms12_hold
 from .representation import (
     Refutation,
     derive_pref_from_rep,
@@ -47,6 +46,14 @@ import random
 log = logging.getLogger("lattimin")
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+
+FUZZ_CHECKS = (
+    "duality_derived",
+    "duality_random",
+    "derived_axioms",
+    "synthesis_verifies",
+    "factoring",
+)
 
 
 def _setup_logging():
@@ -148,65 +155,39 @@ def cmd_factor(args):
     }
 
 
-def _fuzz_trial(base_seed, trial, max_size, failures):
+def _fuzz_trial(base_seed, trial, max_size):
+    """Verdict of each FUZZ_CHECKS check, in order, on one seeded lattice."""
     seed = base_seed * 1_000_003 + trial
     rng = random.Random(seed)
     L = random_distributive_lattice(max_size, seed)
-    counts = dict.fromkeys(
-        ("duality_derived", "duality_random", "derived_axioms", "synthesis_verifies", "factoring"), 0
-    )
-
     W_good = derived_weak_order(L, seed + 1)
     rep3 = duality_equivalence_report(L, W_good)
-    if rep3.equivalent and rep3.axioms_hold:
-        counts["duality_derived"] = 1
-    else:
-        failures.append({"trial": trial, "check": "duality_derived"})
-
-    W_rand_ranks = random_weak_order(L.n, rng)
-    from .preference import WeakOrder
-
-    rep3r = duality_equivalence_report(L, WeakOrder(W_rand_ranks))
-    if rep3r.equivalent:
-        counts["duality_random"] = 1
-    else:
-        failures.append({"trial": trial, "check": "duality_random"})
-
-    R_rand = random_representation(L, seed + 2)
-    derived = derive_pref_from_rep(R_rand)
-    if axioms12_hold(L, derived):
-        counts["derived_axioms"] = 1
-    else:
-        failures.append({"trial": trial, "check": "derived_axioms"})
-
+    rep3r = duality_equivalence_report(L, WeakOrder(random_weak_order(L.n, rng)))
+    derived = derive_pref_from_rep(random_representation(L, seed + 2))
     R_min = minimal_representation(L, W_good)
-    ok, _ = verify_representation(L, W_good, R_min)
-    if ok:
-        counts["synthesis_verifies"] = 1
-    else:
-        failures.append({"trial": trial, "check": "synthesis_verifies"})
-
     factored = True
     if R_min.outcome_count > 0:
         R_alt = duplicate_outcome(R_min, rng.randrange(R_min.outcome_count))
         result = factor_check(L, W_good, R_alt, R_min)
         factored = not isinstance(result, Refutation) and check_hom(result)
-    if factored:
-        counts["factoring"] = 1
-    else:
-        failures.append({"trial": trial, "check": "factoring"})
-    return counts
+    return (
+        rep3.equivalent and rep3.axioms_hold,
+        rep3r.equivalent,
+        axioms12_hold(L, derived),
+        verify_representation(L, W_good, R_min)[0],
+        factored,
+    )
 
 
 def cmd_fuzz(args):
-    totals = dict.fromkeys(
-        ("duality_derived", "duality_random", "derived_axioms", "synthesis_verifies", "factoring"), 0
-    )
+    totals = dict.fromkeys(FUZZ_CHECKS, 0)
     failures = []
     for trial in range(args.trials):
-        counts = _fuzz_trial(args.seed, trial, args.max_size, failures)
-        for k, v in counts.items():
-            totals[k] += v
+        verdicts = _fuzz_trial(args.seed, trial, args.max_size)
+        for check, ok in zip(FUZZ_CHECKS, verdicts):
+            totals[check] += int(ok)
+            if not ok:
+                failures.append({"trial": trial, "check": check})
         log.info("trial %d done", trial)
     report = {
         "seed": args.seed,
@@ -257,9 +238,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, report = args.func(args)
-    except (FormatError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except LattiminError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

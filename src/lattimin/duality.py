@@ -1,9 +1,9 @@
 """Dual orders between a lattice (minus bottom) and its spectral space.
 
 The forward direction ranks prime filters by their best-ranked member; the
-backward direction ranks descriptions by their worst-ranked filter.  Both
-directions are computed by the literal quantifier formulas as well, and the
-two evaluations are checked against each other on every call.
+backward direction ranks descriptions by their worst-ranked filter.  Both go
+through ``checked_worst_ranks``, which evaluates the literal quantifier
+formula as well and checks the two against each other on every call.
 """
 
 from __future__ import annotations
@@ -13,106 +13,48 @@ from typing import Optional
 
 from .errors import EmptySigma
 from .lattice import Lattice
-from .preference import WeakOrder, axioms12_hold
+from .preference import (
+    WeakOrder,
+    axioms12_hold,
+    checked_worst_ranks,
+    dense_ranks,
+    first_disagreement,
+)
 from .spectrum import SpectralSpace, enumerate_prime_filters
-
-
-@dataclass(frozen=True)
-class PointOrder:
-    """Weak order over spectrum points, rank-encoded like WeakOrder."""
-
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-
-    def weakly_prefers(self, i: int, j: int) -> bool:
-        return self.ranks[i] <= self.ranks[j]
-
-
-def _dense(values):
-    order = {v: i for i, v in enumerate(sorted(set(values)))}
-    return tuple(order[v] for v in values)
 
 
 def nonzero_elements(L: Lattice) -> list[int]:
     return [a for a in range(L.n) if a != L.bottom]
 
 
-def point_best_ranks(S: SpectralSpace, W: WeakOrder) -> list[int]:
-    """Best (lowest) member rank per prime filter; the fast path for the
-    forward order."""
-    return [min(W.ranks[a] for a in F) for F in S.points]
+def dual_forward(L: Lattice, S: SpectralSpace, W: WeakOrder) -> WeakOrder:
+    """Order on spectrum points induced by W on the lattice minus bottom.
+
+    A point ranks by its best member.  The best member under W is the worst
+    member under -W, so the checked worst-rank evaluator serves both
+    directions.
+    """
+    worst = checked_worst_ranks(S.points, [-r for r in W.ranks])
+    return WeakOrder(dense_ranks(-w for w in worst))
 
 
-def forward_relation_literal(S: SpectralSpace, W: WeakOrder) -> list:
-    """rel[i][j] iff for every b in filter j some a in filter i has a >= b."""
-    pts = S.points
-    return [
-        [
-            all(any(W.ranks[a] <= W.ranks[b] for a in F) for b in G)
-            for G in pts
-        ]
-        for F in pts
-    ]
-
-
-def dual_forward(L: Lattice, S: SpectralSpace, W: WeakOrder) -> PointOrder:
-    """Order on spectrum points induced by W on the lattice minus bottom."""
-    best = point_best_ranks(S, W)
-    literal = forward_relation_literal(S, W)
-    for i in range(len(best)):
-        for j in range(len(best)):
-            if literal[i][j] != (best[i] <= best[j]):
-                raise RuntimeError(
-                    f"forward fast path disagrees with literal formula at ({i},{j})"
-                )
-    return PointOrder(_dense(best))
-
-
-def element_worst_ranks(L: Lattice, S: SpectralSpace, V: PointOrder) -> dict:
-    """Worst (highest) point rank over sigma(a), per non-bottom element."""
-    out = {}
-    for a in nonzero_elements(L):
-        sig = S.sigma(a)
-        if not sig:
-            raise EmptySigma(a)
-        out[a] = max(V.ranks[p] for p in sig)
-    return out
-
-
-def backward_relation_literal(L: Lattice, S: SpectralSpace, V: PointOrder) -> dict:
-    """rel[(a,b)] iff every F in sigma(a) weakly beats some G in sigma(b)."""
+def dual_backward(L: Lattice, S: SpectralSpace, V: WeakOrder) -> dict:
+    """Dense ranks over the lattice minus bottom induced by a point order:
+    each element ranks by the worst point of sigma(a)."""
     nz = nonzero_elements(L)
-    rel = {}
     for a in nz:
-        for b in nz:
-            rel[(a, b)] = all(
-                any(V.ranks[F] <= V.ranks[G] for G in S.sigma(b))
-                for F in S.sigma(a)
-            )
-    return rel
-
-
-def dual_backward(L: Lattice, S: SpectralSpace, V: PointOrder) -> dict:
-    """Dense ranks over the lattice minus bottom induced by a point order."""
-    worst = element_worst_ranks(L, S, V)
-    literal = backward_relation_literal(L, S, V)
-    for (a, b), holds in literal.items():
-        if holds != (worst[a] <= worst[b]):
-            raise RuntimeError(
-                f"backward fast path disagrees with literal formula at ({a},{b})"
-            )
-    nz = nonzero_elements(L)
-    dense = _dense([worst[a] for a in nz])
-    return dict(zip(nz, dense))
+        if not S.sigma(a):
+            raise EmptySigma(a)
+    worst = checked_worst_ranks([S.sigma(a) for a in nz], V.ranks)
+    return dict(zip(nz, dense_ranks(worst)))
 
 
 @dataclass(frozen=True, eq=False)
 class DualityCertificate:
     lattice: Lattice
+    spectrum: SpectralSpace
     weak_order: WeakOrder
-    forward: PointOrder
+    forward: WeakOrder
     roundtrip: dict  # element -> dense rank on the lattice minus bottom
     agreement: bool
     counterexample: Optional[tuple[int, int]]
@@ -127,16 +69,10 @@ def roundtrip_check(L: Lattice, W: WeakOrder) -> DualityCertificate:
     S = enumerate_prime_filters(L)
     fwd = dual_forward(L, S, W)
     back = dual_backward(L, S, fwd)
-    nz = nonzero_elements(L)
-    counterexample = None
-    for a in nz:
-        if counterexample:
-            break
-        for b in nz:
-            if (W.ranks[a] <= W.ranks[b]) != (back[a] <= back[b]):
-                counterexample = (a, b)
-                break
-    return DualityCertificate(L, W, fwd, back, counterexample is None, counterexample)
+    counterexample = first_disagreement(W.ranks, back, nonzero_elements(L))
+    return DualityCertificate(
+        L, S, W, fwd, back, counterexample is None, counterexample
+    )
 
 
 def filter_witness(
@@ -168,7 +104,7 @@ def duality_equivalence_report(L: Lattice, W: WeakOrder) -> DualityEquivalenceRe
     nz = nonzero_elements(L)
     ax = axioms12_hold(L, W, domain=nz)
     cert = roundtrip_check(L, W)
-    S = enumerate_prime_filters(L)
+    S = cert.spectrum
     wit = all(
         (filter_witness(L, S, W, a, b) is not None) == (W.ranks[a] <= W.ranks[b])
         for a in nz

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .errors import LattiminError
-from .lattice import Lattice, Poset, build_lattice, lattice_from_poset
+from .lattice import Lattice, Poset, build_lattice, downset_lattice
 from .preference import WeakOrder
 from .representation import Representation
 from .spectrum import SpectralSpace
@@ -15,36 +15,55 @@ class FormatError(LattiminError):
     """Input file is malformed; message carries a position when available."""
 
 
-def load_json(path):
+def load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except OSError as e:
         raise FormatError(f"{path}: {e.strerror}") from e
+    if not isinstance(d, dict):
+        raise FormatError(f"{path}: top level must be a JSON object")
+    return d
+
+
+def _ints(value, name: str, depth: int = 0):
+    """value as a JSON integer, or as lists nested depth deep of them;
+    TypeError otherwise.  Booleans and floats are not integers."""
+    if depth:
+        if not isinstance(value, list):
+            raise TypeError(f"{name}: expected a list, got {json.dumps(value)}")
+        return [_ints(v, name, depth - 1) for v in value]
+    if type(value) is not int:
+        raise TypeError(f"{name}: {json.dumps(value)} is not an integer")
+    return value
 
 
 def lattice_from_dict(d, validate=True) -> Lattice:
     """Build a lattice from its JSON dict.
 
-    With validate=False the tables are loaded as-is so callers can inspect
-    law violations themselves; the poset form is always lawful by
-    construction.
+    Every table entry must be a JSON integer.  With validate=False the
+    tables are loaded as-is so callers can inspect law violations
+    themselves.  The poset form stands for the lattice of its down-sets,
+    which is lawful by construction.
     """
     if "poset" in d:
         p = d["poset"]
         try:
-            P = Poset(int(p["n"]), tuple(tuple(c) for c in p["covers"]))
+            P = Poset(_ints(p["n"], "n"), _ints(p["covers"], "covers", 2))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bad poset block: {e}") from e
-        return lattice_from_poset(P)
+        return downset_lattice(P)
     try:
-        if validate:
-            return build_lattice(
-                d["meet"], d["join"], d["bottom"], d["top"], d.get("labels")
-            )
-        return Lattice(d["meet"], d["join"], d["bottom"], d["top"], d.get("labels"))
+        args = (
+            _ints(d["meet"], "meet", 2),
+            _ints(d["join"], "join", 2),
+            _ints(d["bottom"], "bottom"),
+            _ints(d["top"], "top"),
+            d.get("labels"),
+        )
+        return build_lattice(*args) if validate else Lattice(*args)
     except KeyError as e:
         raise FormatError(f"lattice file missing field {e}") from e
     except (TypeError, ValueError) as e:
@@ -71,7 +90,7 @@ def load_lattice(path, validate=True) -> Lattice:
 def load_preference(path, L: Lattice) -> WeakOrder:
     d = load_json(path)
     try:
-        ranks = [int(r) for r in d["ranks"]]
+        ranks = _ints(d["ranks"], "ranks", 1)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad preference file: {e}") from e
     if len(ranks) != L.n:
@@ -79,10 +98,6 @@ def load_preference(path, L: Lattice) -> WeakOrder:
             f"{path}: ranks length {len(ranks)} does not match lattice size {L.n}"
         )
     return WeakOrder(tuple(ranks))
-
-
-def preference_to_dict(W: WeakOrder) -> dict:
-    return {"ranks": list(W.ranks)}
 
 
 def representation_to_dict(R: Representation) -> dict:
@@ -96,12 +111,12 @@ def representation_to_dict(R: Representation) -> dict:
 def load_representation(path, L: Lattice) -> Representation:
     d = load_json(path)
     try:
-        count = int(d["outcomes"])
+        count = _ints(d["outcomes"], "outcomes")
         sigma = d["sigma"]
         sigma_map = tuple(
-            frozenset(int(x) for x in sigma[str(a)]) for a in range(L.n)
+            frozenset(_ints(sigma[str(a)], "sigma", 1)) for a in range(L.n)
         )
-        ranks = tuple(int(r) for r in d["outcome_ranks"])
+        ranks = _ints(d["outcome_ranks"], "outcome_ranks", 1)
         return Representation(count, sigma_map, ranks)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad representation file: {e}") from e

@@ -21,6 +21,10 @@ def _freeze(table) -> np.ndarray:
     return arr
 
 
+def _size_then_mask(m: int) -> tuple[int, int]:
+    return bin(m).count("1"), m
+
+
 @dataclass(frozen=True)
 class LawIssue:
     """One violated lattice law with its lexicographically minimal witness."""
@@ -82,7 +86,7 @@ class Poset:
                     break
             if closed:
                 masks.append(mask)
-        masks.sort(key=lambda m: (bin(m).count("1"), m))
+        masks.sort(key=_size_then_mask)
         return masks
 
 
@@ -187,10 +191,6 @@ def build_lattice(meet_table, join_table, bottom, top, labels=None) -> Lattice:
     return L
 
 
-def leq(L: Lattice, a: int, b: int) -> bool:
-    return L.leq(a, b)
-
-
 def lattice_from_order(order, labels=None, validate=True) -> Lattice:
     """Compute meet/join tables from a <=-matrix; NotALattice if some pair
     lacks a unique greatest lower / least upper bound."""
@@ -225,26 +225,33 @@ def lattice_from_order(order, labels=None, validate=True) -> Lattice:
     return Lattice(meet, join, bottoms[0], tops[0], labels)
 
 
-def lattice_from_poset(P: Poset, labels=None) -> Lattice:
-    """Hasse-diagram converter: poset elements become lattice elements."""
-    return lattice_from_order(P.leq, labels=labels)
-
-
 def downset_lattice(P: Poset) -> Lattice:
     """Lattice of down-closed subsets of P, ordered by inclusion.
 
     Meet is intersection and join is union, so the result is distributive by
     construction (and is re-validated anyway).
     """
-    masks = P.downset_masks()
+    L, _ = mask_family_lattice(
+        P.downset_masks(),
+        lambda m: "{" + ",".join(str(e) for e in range(P.n) if m >> e & 1) + "}",
+    )
+    return L
+
+
+def mask_family_lattice(masks, label=None) -> tuple[Lattice, dict]:
+    """Lattice of a family of bitmasks closed under & and |, ordered by
+    inclusion, plus the mask -> element map.
+
+    Elements are the distinct masks sorted by (size, mask), so the least mask
+    is the bottom and the greatest the top.  ``label`` names each mask.
+    """
+    masks = sorted(set(masks), key=_size_then_mask)
     index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
     meet = [[index[masks[i] & masks[j]] for j in range(k)] for i in range(k)]
     join = [[index[masks[i] | masks[j]] for j in range(k)] for i in range(k)]
-    labels = tuple(
-        "{" + ",".join(str(e) for e in range(P.n) if m >> e & 1) + "}" for m in masks
-    )
-    return build_lattice(meet, join, 0, k - 1, labels)
+    labels = tuple(label(m) for m in masks) if label else None
+    return build_lattice(meet, join, 0, k - 1, labels), index
 
 
 def relative_complements(L: Lattice, a: int, a_prime: int) -> tuple[int, ...]:
@@ -324,14 +331,8 @@ def compose(outer: LatticeHom, inner: LatticeHom) -> LatticeHom:
     )
 
 
-def kernel_classes(h: LatticeHom) -> tuple[int, ...]:
-    """Partition of the source by equal image, class ids ordered by least
-    representative."""
-    ids: dict[int, int] = {}
-    out = []
-    for a in range(h.source.n):
-        key = h.mapping[a]
-        if key not in ids:
-            ids[key] = len(ids)
-        out.append(ids[key])
-    return tuple(out)
+def class_ids(keys) -> tuple[int, ...]:
+    """Class id per key, numbered in order of first appearance; the kernel of
+    a hom h is class_ids(h.mapping)."""
+    ids: dict = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)

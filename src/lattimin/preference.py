@@ -8,6 +8,7 @@ transitivity hold by construction of the encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,12 +39,53 @@ class WeakOrder:
     def indifferent(self, a: int, b: int) -> bool:
         return self.ranks[a] == self.ranks[b]
 
-    @staticmethod
-    def dense(values) -> "WeakOrder":
-        """Relabel arbitrary comparable scores to dense ranks 0..m-1."""
-        values = list(values)
-        order = {v: i for i, v in enumerate(sorted(set(values)))}
-        return WeakOrder(tuple(order[v] for v in values))
+
+def dense_ranks(values) -> tuple[int, ...]:
+    """Relabel comparable values to dense ranks 0..m-1, keeping their order."""
+    values = list(values)
+    order = {v: i for i, v in enumerate(sorted(set(values)))}
+    return tuple(order[v] for v in values)
+
+
+def first_disagreement(r, s, items) -> Optional[tuple[int, int]]:
+    """First pair (a, b) of items, in order, where r and s disagree on a <= b."""
+    for a in items:
+        for b in items:
+            if (r[a] <= r[b]) != (s[a] <= s[b]):
+                return a, b
+    return None
+
+
+def _worst_ranks(sets, ranks) -> list[int]:
+    """Fast path: the worst (highest) member rank of each set.  An empty set
+    scores below every rank, so it is weakly preferred to everything."""
+    floor = min(ranks, default=0) - 1
+    return [max((ranks[x] for x in s), default=floor) for s in sets]
+
+
+def checked_worst_ranks(sets, ranks) -> list[int]:
+    """Worst member rank per set, checked against the literal formula.
+
+    Set a is weakly preferred to set b iff every x in a has some y in b with
+    ranks[x] <= ranks[y].  That relation is evaluated on its own, by boolean
+    matrix products over the membership matrix M, and must agree with
+    comparing worst ranks; RuntimeError names the first pair where it does not.
+    """
+    worst = _worst_ranks(sets, ranks)
+    r = np.asarray(ranks)
+    M = np.zeros((len(sets), len(r)), dtype=bool)
+    for i, s in enumerate(sets):
+        M[i, list(s)] = True
+    some = (r[:, None] <= r[None, :]) @ M.T  # some[x, b]: x matched in b
+    rel = ~(M @ ~some)  # rel[a, b]: no member of a unmatched in b
+    w = np.asarray(worst)
+    bad = np.argwhere(rel != (w[:, None] <= w[None, :]))
+    if bad.size:
+        a, b = (int(v) for v in bad[0])
+        raise RuntimeError(
+            f"worst-rank fast path disagrees with literal formula at ({a},{b})"
+        )
+    return worst
 
 
 def _domain_mask(L: Lattice, domain) -> np.ndarray:

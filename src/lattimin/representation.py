@@ -17,9 +17,18 @@ from .errors import (
     NotAnIdeal,
     NotARepresentation,
 )
-from .lattice import Lattice, LatticeHom, build_lattice, kernel_classes
-from .preference import WeakOrder, check_axiom1, check_axiom2, check_axiom3, zero_class
-from .spectrum import classify_subset, enumerate_prime_filters, point_mask
+from .lattice import Lattice, LatticeHom, build_lattice, class_ids, mask_family_lattice
+from .preference import (
+    WeakOrder,
+    check_axiom1,
+    check_axiom2,
+    check_axiom3,
+    checked_worst_ranks,
+    dense_ranks,
+    first_disagreement,
+    zero_class,
+)
+from .spectrum import classify_subset, enumerate_prime_filters, is_powerset_hom, point_mask
 
 
 @dataclass(frozen=True)
@@ -52,20 +61,10 @@ class Congruence:
         return frozenset(a for a, k in enumerate(self.classes) if k == c)
 
 
-def _canonical_classes(keys) -> tuple[int, ...]:
-    ids: dict = {}
-    out = []
-    for key in keys:
-        if key not in ids:
-            ids[key] = len(ids)
-        out.append(ids[key])
-    return tuple(out)
-
-
 def congruence_from_classes(L: Lattice, classes) -> Congruence:
     """Validate compatibility of a partition; IncompatiblePartition with a
     witness quadruple (a, b, a', b') on failure."""
-    classes = _canonical_classes(tuple(classes))
+    classes = class_ids(classes)
     for op, table in (("meet", L.meet), ("join", L.join)):
         seen: dict = {}
         for a in range(L.n):
@@ -111,7 +110,7 @@ def congruence_beta_dprime(L: Lattice, I) -> Congruence:
         frozenset(c for c in range(L.n) if int(L.meet[a, c]) in Iset)
         for a in range(L.n)
     ]
-    C = congruence_from_classes(L, _canonical_classes(keys))
+    C = congruence_from_classes(L, keys)
     if C.members(C.cls(L.bottom)) != Iset:
         raise NotAnIdeal("bottom class does not equal the ideal")
     return C
@@ -135,7 +134,7 @@ def quotient(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
 
 
 def kernel(h: LatticeHom) -> Congruence:
-    return Congruence(kernel_classes(h))
+    return Congruence(class_ids(h.mapping))
 
 
 @dataclass(frozen=True)
@@ -163,19 +162,7 @@ class Representation:
 
 def check_representation_hom(L: Lattice, R: Representation) -> bool:
     """sigma_map must be a bounded-lattice hom into the powerset of X."""
-    if len(R.sigma_map) != L.n:
-        return False
-    sm = R.sigma_map
-    full = frozenset(range(R.outcome_count))
-    if sm[L.bottom] != frozenset() or sm[L.top] != full:
-        return False
-    for a in range(L.n):
-        for b in range(L.n):
-            if sm[int(L.meet[a, b])] != sm[a] & sm[b]:
-                return False
-            if sm[int(L.join[a, b])] != sm[a] | sm[b]:
-                return False
-    return True
+    return is_powerset_hom(L, R.sigma_map, R.outcome_count)
 
 
 def derive_pref_from_rep(R: Representation) -> WeakOrder:
@@ -185,36 +172,7 @@ def derive_pref_from_rep(R: Representation) -> WeakOrder:
     The literal quantifier evaluation is checked against the score reduction
     on every call.
     """
-    n = len(R.sigma_map)
-    scores = [
-        (0, 0) if not s else (1, max(R.outcome_ranks[x] for x in s))
-        for s in R.sigma_map
-    ]
-    for a in range(n):
-        for b in range(n):
-            literal = all(
-                any(R.outcome_ranks[x] <= R.outcome_ranks[y] for y in R.sigma_map[b])
-                for x in R.sigma_map[a]
-            )
-            if literal != (scores[a] <= scores[b]):
-                raise RuntimeError(
-                    f"worst-rank fast path disagrees with literal formula at ({a},{b})"
-                )
-    return WeakOrder.dense(scores)
-
-
-def derived_relation_literal(R: Representation) -> list:
-    """rel[a][b] by the literal forall/exists formula; fast-path oracle."""
-    return [
-        [
-            all(
-                any(R.outcome_ranks[x] <= R.outcome_ranks[y] for y in R.sigma_map[b])
-                for x in R.sigma_map[a]
-            )
-            for b in range(len(R.sigma_map))
-        ]
-        for a in range(len(R.sigma_map))
-    ]
+    return WeakOrder(dense_ranks(checked_worst_ranks(R.sigma_map, R.outcome_ranks)))
 
 
 def verify_representation(
@@ -222,11 +180,8 @@ def verify_representation(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff the derived preference equals W on all of the carrier."""
     derived = derive_pref_from_rep(R)
-    for a in range(L.n):
-        for b in range(L.n):
-            if (W.ranks[a] <= W.ranks[b]) != (derived.ranks[a] <= derived.ranks[b]):
-                return False, (a, b)
-    return True, None
+    witness = first_disagreement(W.ranks, derived.ranks, range(L.n))
+    return witness is None, witness
 
 
 def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
@@ -267,17 +222,6 @@ class Refutation:
     witness: tuple[int, int]
 
 
-def _image_lattice(R: Representation) -> tuple[Lattice, dict]:
-    sets = sorted(set(R.sigma_map), key=lambda s: (len(s), point_mask(s)))
-    index = {s: i for i, s in enumerate(sets)}
-    k = len(sets)
-    meet = [[index[sets[i] & sets[j]] for j in range(k)] for i in range(k)]
-    join = [[index[sets[i] | sets[j]] for j in range(k)] for i in range(k)]
-    bottom = index[frozenset()]
-    top = index[frozenset(range(R.outcome_count))]
-    return build_lattice(meet, join, bottom, top), index
-
-
 def factor_check(
     L: Lattice, W: WeakOrder, R_other: Representation, R_min: Representation
 ) -> Union[LatticeHom, Refutation]:
@@ -299,11 +243,13 @@ def factor_check(
                 and R_min.sigma_map[a] != R_min.sigma_map[b]
             ):
                 return Refutation((a, b))
-    src, src_index = _image_lattice(R_other)
-    dst, dst_index = _image_lattice(R_min)
+    src_masks = [point_mask(s) for s in R_other.sigma_map]
+    dst_masks = [point_mask(s) for s in R_min.sigma_map]
+    src, src_index = mask_family_lattice(src_masks)
+    dst, dst_index = mask_family_lattice(dst_masks)
     mapping = [0] * src.n
-    for a in range(L.n):
-        mapping[src_index[R_other.sigma_map[a]]] = dst_index[R_min.sigma_map[a]]
+    for m_src, m_dst in zip(src_masks, dst_masks):
+        mapping[src_index[m_src]] = dst_index[m_dst]
     hom = LatticeHom(src, dst, tuple(mapping))
     if set(hom.mapping) != set(range(dst.n)):
         raise NotARepresentation("factoring hom is not surjective")

@@ -128,27 +128,28 @@ def join_irreducibles(L: Lattice) -> frozenset:
     return frozenset(out)
 
 
-def sigma(S: SpectralSpace, a: int) -> frozenset:
-    return S.sigma(a)
-
-
-def check_sigma_isomorphism(S: SpectralSpace) -> bool:
-    """True iff sigma is injective and sends meet/join/bounds to
-    intersection/union/empty/full."""
-    L = S.lattice
-    st = S.sigma_table
-    if len(set(st)) != L.n:
+def is_powerset_hom(L: Lattice, images, size: int) -> bool:
+    """True iff images (one set per element of L) send bottom/top to
+    empty/full and meet/join to intersection/union in the powerset of
+    range(size)."""
+    if len(images) != L.n:
         return False
-    full = frozenset(range(len(S.points)))
-    if st[L.bottom] != frozenset() or st[L.top] != full:
+    if images[L.bottom] != frozenset() or images[L.top] != frozenset(range(size)):
         return False
     for a in range(L.n):
         for b in range(L.n):
-            if st[int(L.meet[a, b])] != st[a] & st[b]:
+            if images[int(L.meet[a, b])] != images[a] & images[b]:
                 return False
-            if st[int(L.join[a, b])] != st[a] | st[b]:
+            if images[int(L.join[a, b])] != images[a] | images[b]:
                 return False
     return True
+
+
+def check_sigma_isomorphism(S: SpectralSpace) -> bool:
+    """True iff sigma is injective and a bounded hom into the powerset of the
+    points."""
+    st = S.sigma_table
+    return len(set(st)) == S.lattice.n and is_powerset_hom(S.lattice, st, len(S.points))
 
 
 @dataclass(frozen=True)

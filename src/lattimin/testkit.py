@@ -11,19 +11,19 @@ import random
 
 from .errors import TooLarge
 from .lattice import Lattice, Poset, downset_lattice
-from .preference import WeakOrder
+from .preference import WeakOrder, dense_ranks
 from .representation import Representation, derive_pref_from_rep
 from .spectrum import enumerate_prime_filters
 
 EDGE_PROB = 0.4  # mixes chains and antichains well at size <= 6
 
 
-def random_poset(size: int, rng: random.Random, edge_prob: float = EDGE_PROB) -> Poset:
+def random_poset(size: int, rng: random.Random) -> Poset:
     """Random poset via upper-triangular edge inclusion + transitive closure."""
     rel = [[False] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            rel[i][j] = rng.random() < edge_prob
+            rel[i][j] = rng.random() < EDGE_PROB
     for k in range(size):
         for i in range(size):
             if rel[i][k]:
@@ -48,11 +48,6 @@ def random_distributive_lattice(max_poset_size: int, seed: int) -> Lattice:
     return downset_lattice(random_poset(size, rng))
 
 
-def _dense_ranks(values):
-    order = {v: i for i, v in enumerate(sorted(set(values)))}
-    return tuple(order[v] for v in values)
-
-
 def enumerate_weak_orders(k: int):
     """All rank vectors over k items up to rank relabeling (ordered Bell
     count many).  Capped at k <= 5 (541 orders)."""
@@ -63,7 +58,7 @@ def enumerate_weak_orders(k: int):
         return
     seen = set()
     for ranks in itertools.product(range(k), repeat=k):
-        dense = _dense_ranks(ranks)
+        dense = dense_ranks(ranks)
         if dense not in seen:
             seen.add(dense)
             yield dense
@@ -73,7 +68,7 @@ def random_weak_order(k: int, rng: random.Random) -> tuple[int, ...]:
     """Uniform-ish dense rank vector over k items."""
     if k == 0:
         return ()
-    return _dense_ranks(tuple(rng.randrange(k) for _ in range(k)))
+    return dense_ranks(tuple(rng.randrange(k) for _ in range(k)))
 
 
 def random_representation(L: Lattice, seed: int) -> Representation:
@@ -108,6 +103,15 @@ def duplicate_outcome(R: Representation, outcome: int) -> Representation:
         s | {new} if outcome in s else s for s in R.sigma_map
     )
     return Representation(new + 1, sigma_map, R.outcome_ranks + (R.outcome_ranks[outcome],))
+
+
+def literal_dominance(sets, ranks) -> list:
+    """rel[a][b] iff every x in sets[a] has some y in sets[b] with
+    ranks[x] <= ranks[y]; a plain-loop oracle for checked_worst_ranks."""
+    return [
+        [all(any(ranks[x] <= ranks[y] for y in B) for x in A) for B in sets]
+        for A in sets
+    ]
 
 
 def all_posets(size: int):

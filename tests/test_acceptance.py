@@ -27,15 +27,14 @@ from lattimin import (
     verify_representation,
 )
 from lattimin.cli import main
-from lattimin.duality import forward_relation_literal, point_best_ranks
 from lattimin.fixtures import B1, B2, B3, CHAIN2, CHAIN3
 from lattimin.preference import axioms12_hold
-from lattimin.representation import derived_relation_literal
 from lattimin.testkit import (
     all_posets,
     duplicate_outcome,
     derived_weak_order,
     enumerate_weak_orders,
+    literal_dominance,
     random_distributive_lattice,
     random_representation,
     random_weak_order,
@@ -213,7 +212,7 @@ def test_criterion_7_fast_paths_match_literal_formulas(capsys):
         L = random_distributive_lattice(5, rng.randrange(1 << 30))
         R = random_representation(L, rng.randrange(1 << 30))
         derived = derive_pref_from_rep(R)
-        literal = derived_relation_literal(R)
+        literal = literal_dominance(R.sigma_map, R.outcome_ranks)
         for _ in range(min(50, 5000 - queries)):
             a, b = rng.randrange(L.n), rng.randrange(L.n)
             if literal[a][b] != derived.weakly_prefers(a, b):
@@ -223,13 +222,14 @@ def test_criterion_7_fast_paths_match_literal_formulas(capsys):
         L = random_distributive_lattice(5, rng.randrange(1 << 30))
         S = enumerate_prime_filters(L)
         W = WeakOrder(random_weak_order(L.n, rng))
-        dual_forward(L, S, W)  # raises internally on any disagreement
-        best = point_best_ranks(S, W)
-        literal = forward_relation_literal(S, W)
+        fwd = dual_forward(L, S, W)  # raises internally on any disagreement
+        # the best member under W is the worst under -W, so point j is
+        # dominated on negated ranks exactly when point i is weakly preferred
+        literal = literal_dominance(S.points, [-r for r in W.ranks])
         p = len(S.points)
         for _ in range(min(50, 10_000 - queries)):
             i, j = rng.randrange(p), rng.randrange(p)
-            if literal[i][j] != (best[i] <= best[j]):
+            if literal[j][i] != fwd.weakly_prefers(i, j):
                 mismatches += 1
             queries += 1
     elapsed = time.perf_counter() - t0

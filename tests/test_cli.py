@@ -1,10 +1,13 @@
 import json
+import pathlib
 
 import pytest
 
 from lattimin.cli import main
 from lattimin.fixtures import CHAIN3, M3
 from lattimin.io import lattice_to_dict
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -49,6 +52,22 @@ class TestValidate:
     def test_poset_input_accepted(self, chain3_poset_file, capsys):
         code, report = run(["validate", "--lattice", chain3_poset_file], capsys)
         assert code == 0 and report["valid"]
+
+
+class TestPosetInput:
+    """A poset file stands for the lattice of its down-sets."""
+
+    def test_chain3_poset_gives_four_element_chain(self, chain3_poset_file, capsys):
+        code, report = run(["spectrum", "--lattice", chain3_poset_file], capsys)
+        assert code == 0
+        assert len(report["sigma"]) == 4 and len(report["points"]) == 3
+
+    def test_two_antichain_gives_b2(self, tmp_path, capsys):
+        path = tmp_path / "antichain2.json"
+        path.write_text(json.dumps({"poset": {"n": 2, "covers": []}}))
+        code, report = run(["spectrum", "--lattice", str(path)], capsys)
+        assert code == 0
+        assert len(report["sigma"]) == 4 and len(report["points"]) == 2
 
 
 class TestSpectrum:
@@ -174,6 +193,43 @@ class TestInputErrors:
         pref.write_text(json.dumps({"ranks": [0, 1]}))
         assert main(["axioms", "--lattice", chain3_file, "--pref", str(pref)]) == 2
 
+    @pytest.mark.parametrize("top_level", [5, [1, 2], "lattice", None])
+    def test_top_level_not_an_object(self, tmp_path, capsys, top_level):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(top_level))
+        assert main(["validate", "--lattice", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["meet", "join", "bottom", "top"])
+    def test_non_integer_lattice_value(self, tmp_path, capsys, field):
+        d = lattice_to_dict(CHAIN3)
+        if field in ("meet", "join"):
+            d[field][1][2] = 0.5
+        else:
+            d[field] = float(d[field])  # integral, but still not a JSON integer
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", "--lattice", str(path)]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
+    def test_non_integer_rank(self, chain3_file, tmp_path, capsys):
+        pref = tmp_path / "float.json"
+        pref.write_text(json.dumps({"ranks": [0, 1.7, 2]}))
+        assert main(["axioms", "--lattice", chain3_file, "--pref", str(pref)]) == 2
+        assert "1.7 is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["outcomes", "sigma", "outcome_ranks"])
+    def test_non_integer_representation_value(
+        self, chain3_file, w3_file, tmp_path, capsys, field
+    ):
+        rep = {"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]}, "outcome_ranks": [1, 0]}
+        bad = {"outcomes": 2.0, "sigma": {**rep["sigma"], "1": [1.0]}, "outcome_ranks": [1, 0.5]}
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({**rep, field: bad[field]}))
+        args = ["verify", "--lattice", chain3_file, "--pref", w3_file, "--rep", str(path)]
+        assert main(args) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
 
 class TestFuzz:
     def test_small_run_passes_and_reproduces(self, tmp_path, capsys):
@@ -186,3 +242,9 @@ class TestFuzz:
         report = json.loads(out1.read_text())
         assert report["failures"] == []
         assert report["pass_counts"]["duality_derived"] == 5
+
+    def test_seed42_report_matches_golden_file(self, tmp_path, capsys):
+        out = tmp_path / "fuzz.json"
+        assert main(["fuzz", "--seed", "42", "--trials", "100", "--out", str(out)]) == 0
+        golden = GOLDEN / "fuzz_seed42_trials100.json"
+        assert out.read_bytes() == golden.read_bytes()

@@ -1,5 +1,4 @@
 from lattimin import (
-    PointOrder,
     WeakOrder,
     dual_backward,
     dual_forward,
@@ -8,14 +7,21 @@ from lattimin import (
     roundtrip_check,
     duality_equivalence_report,
 )
-from lattimin.duality import (
-    backward_relation_literal,
-    forward_relation_literal,
-    nonzero_elements,
-    point_best_ranks,
-)
+from lattimin.duality import nonzero_elements
 from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
-from lattimin.testkit import enumerate_weak_orders, random_distributive_lattice
+from lattimin.testkit import (
+    enumerate_weak_orders,
+    literal_dominance,
+    random_distributive_lattice,
+)
+
+
+def forward_literal(S, W):
+    """rel[i][j] iff every member of filter j is matched by a member of
+    filter i ranked at least as well: dominance on negated ranks, with the
+    roles of i and j swapped."""
+    rel = literal_dominance(S.points, [-r for r in W.ranks])
+    return [list(col) for col in zip(*rel)]
 
 
 class TestDualForward:
@@ -29,7 +35,7 @@ class TestDualForward:
         S = enumerate_prime_filters(CHAIN2)
         fwd = dual_forward(CHAIN2, S, WeakOrder((0, 0)))
         assert fwd.ranks == (0,)
-        assert forward_relation_literal(S, WeakOrder((0, 0))) == [[True]]
+        assert forward_literal(S, WeakOrder((0, 0))) == [[True]]
 
     def test_b2_atom_ranking(self):
         S = enumerate_prime_filters(B2)
@@ -41,16 +47,16 @@ class TestDualForward:
 class TestDualBackward:
     def test_chain3_recovers_strict(self):
         S = enumerate_prime_filters(CHAIN3)
-        back = dual_backward(CHAIN3, S, PointOrder((1, 0)))  # y above x
+        back = dual_backward(CHAIN3, S, WeakOrder((1, 0)))  # y above x
         assert back[1] < back[2]
 
     def test_chain2_total_indifference(self):
         S = enumerate_prime_filters(CHAIN2)
-        assert dual_backward(CHAIN2, S, PointOrder((0,))) == {1: 0}
+        assert dual_backward(CHAIN2, S, WeakOrder((0,))) == {1: 0}
 
     def test_b2_top_ties_with_worse_atom(self):
         S = enumerate_prime_filters(B2)
-        back = dual_backward(B2, S, PointOrder((0, 1)))  # F_a above F_b
+        back = dual_backward(B2, S, WeakOrder((0, 1)))  # F_a above F_b
         assert back[B2_A] < back[B2_B]
         assert back[B2.top] == back[B2_B]
 
@@ -102,11 +108,23 @@ class TestDualityEquivalence:
             S = enumerate_prime_filters(L)
             for ranks in enumerate_weak_orders(min(L.n, 4)):
                 W = WeakOrder(tuple(ranks[i % len(ranks)] for i in range(L.n)))
-                best = point_best_ranks(S, W)
-                rel = forward_relation_literal(S, W)
+                fwd = dual_forward(L, S, W)
+                rel = forward_literal(S, W)
                 p = len(S.points)
                 for i in range(p):
                     assert rel[i][i]
                     for j in range(p):
                         assert rel[i][j] or rel[j][i]
-                        assert rel[i][j] == (best[i] <= best[j])
+                        assert rel[i][j] == fwd.weakly_prefers(i, j)
+
+    def test_backward_matches_literal_dominance(self):
+        for seed in range(40):
+            L = random_distributive_lattice(4, seed)
+            S = enumerate_prime_filters(L)
+            V = WeakOrder(tuple((i * 7 + seed) % 3 for i in range(len(S.points))))
+            back = dual_backward(L, S, V)
+            nz = nonzero_elements(L)
+            rel = literal_dominance([S.sigma(a) for a in nz], V.ranks)
+            for i, a in enumerate(nz):
+                for j, b in enumerate(nz):
+                    assert rel[i][j] == (back[a] <= back[b])

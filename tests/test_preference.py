@@ -1,18 +1,31 @@
+import random
+
 import pytest
 
 from lattimin import (
     NotAnIdeal,
+    Representation,
     WeakOrder,
     check_axiom1,
     check_axiom2,
     check_axiom3,
+    derive_pref_from_rep,
+    dual_backward,
+    dual_forward,
+    enumerate_prime_filters,
     strict_upper_contour,
     zero_class,
 )
 from lattimin.errors import AxiomsNotSatisfied
 from lattimin.fixtures import B2, B2_A, B2_B, CHAIN3, W3
-from lattimin.preference import axioms12_hold, trivializer_set
-from lattimin.testkit import enumerate_weak_orders
+from lattimin import preference
+from lattimin.preference import (
+    axioms12_hold,
+    checked_worst_ranks,
+    dense_ranks,
+    trivializer_set,
+)
+from lattimin.testkit import enumerate_weak_orders, literal_dominance
 
 
 class TestAxiom1:
@@ -106,3 +119,46 @@ class TestZeroClass:
         # bottom ~ top but not the atoms: not down-closed
         with pytest.raises(NotAnIdeal):
             zero_class(B2, WeakOrder((0, 1, 1, 0)))
+
+
+class TestCheckedWorstRanks:
+    def test_empty_set_scores_best_under_negative_ranks(self):
+        sets = [frozenset(), frozenset({0}), frozenset({0, 1})]
+        worst = checked_worst_ranks(sets, (-5, -3))
+        assert worst[1:] == [-5, -3]
+        assert worst[0] < -5
+
+    def test_agrees_with_literal_dominance(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            k = rng.randint(0, 5)
+            ranks = [rng.randint(-3, 3) for _ in range(k)]
+            sets = [
+                frozenset(x for x in range(k) if rng.random() < 0.5)
+                for _ in range(rng.randint(0, 5))
+            ]
+            worst = checked_worst_ranks(sets, ranks)
+            rel = literal_dominance(sets, ranks)
+            for a in range(len(sets)):
+                for b in range(len(sets)):
+                    assert rel[a][b] == (worst[a] <= worst[b])
+
+    def test_dense_ranks_keep_order(self):
+        assert dense_ranks([5, -1, 5, 2]) == (2, 0, 2, 1)
+        assert dense_ranks([]) == ()
+
+    def test_cross_check_fires_on_a_wrong_fast_path(self, monkeypatch):
+        # A fast path that reverses every score must be caught by the
+        # literal evaluation in each of the three callers.
+        fast = preference._worst_ranks
+        monkeypatch.setattr(
+            preference, "_worst_ranks", lambda sets, ranks: [-w for w in fast(sets, ranks)]
+        )
+        S = enumerate_prime_filters(CHAIN3)
+        with pytest.raises(RuntimeError, match="literal formula"):
+            dual_forward(CHAIN3, S, W3)
+        with pytest.raises(RuntimeError, match="literal formula"):
+            dual_backward(CHAIN3, S, WeakOrder((1, 0)))
+        R = Representation(2, (frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
+        with pytest.raises(RuntimeError, match="literal formula"):
+            derive_pref_from_rep(R)
