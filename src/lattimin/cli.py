@@ -34,6 +34,7 @@ from .representation import (
 )
 from .spectrum import enumerate_prime_filters
 from .testkit import (
+    MAX_POSET_SIZE,
     derived_weak_order,
     duplicate_outcome,
     random_distributive_lattice,
@@ -199,6 +200,17 @@ def cmd_fuzz(args):
     return (0 if not failures else 1), report
 
 
+def _count(text: str) -> int:
+    """A non-negative integer argument; argparse exits 2 otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattimin",
@@ -217,8 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rep", required=True, metavar="PATH")
         if fuzz:
             p.add_argument("--seed", type=int, default=0, metavar="UINT64")
-            p.add_argument("--trials", type=int, default=100, metavar="UINT")
-            p.add_argument("--max-size", type=int, default=4, metavar="UINT")
+            p.add_argument("--trials", type=_count, default=100, metavar="UINT")
+            p.add_argument(
+                "--max-size",
+                type=int,
+                default=4,
+                choices=range(1, MAX_POSET_SIZE + 1),
+                metavar=f"1..{MAX_POSET_SIZE}",
+            )
         p.add_argument("--out", metavar="PATH")
         p.set_defaults(func=func)
 

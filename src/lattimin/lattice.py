@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import LawViolation, NotALattice, PosetCyclic, TooLarge
 
+# Entries per block of the O(n^3) table scans: every n up to 101 is one block.
+BLOCK_ELEMENTS = 1 << 20
+
 
 def _freeze(table) -> np.ndarray:
     arr = np.ascontiguousarray(table, dtype=np.intp)
@@ -132,6 +135,37 @@ class Lattice:
     def leq_table(self) -> np.ndarray:
         return self.meet == np.arange(self.n)[:, None]
 
+    @cached_property
+    def prime_upsets(self) -> np.ndarray:
+        """prime_upsets[m] iff the principal up-set of m is a prime filter.
+
+        Evaluates the conditions of ``classify_subset(L, L.upset(m))``
+        (non-empty, up-closed, meet-closed, proper, prime) for every m at
+        once, on any table, lawful or not.
+        """
+        U, M, J = self.leq_table, self.meet, self.join
+        n = self.n
+        out = np.empty(n, dtype=bool)
+        for s in _row_blocks(n):
+            u = U[s]
+            up_closed = ~((u @ U) & ~u).any(1)
+            meet_closed = ~(u[:, :, None] & u[:, None, :] & ~u[:, M]).any((1, 2))
+            prime = ~(u[:, J] & ~u[:, :, None] & ~u[:, None, :]).any((1, 2))
+            out[s] = u.any(1) & ~u.all(1) & up_closed & meet_closed & prime
+        out.setflags(write=False)  # shared by every caller
+        return out
+
+    @cached_property
+    def spectrum(self):
+        """The prime filters as a SpectralSpace, computed once per lattice;
+        ``spectrum.enumerate_prime_filters`` returns it."""
+        from .spectrum import SpectralSpace, point_mask  # spectrum imports this module
+
+        points = sorted(
+            (self.upset(m) for m in np.flatnonzero(self.prime_upsets)), key=point_mask
+        )
+        return SpectralSpace(self, tuple(points))
+
     def leq(self, a: int, b: int) -> bool:
         """a <= b in the canonical order, i.e. a == a meet b."""
         return bool(self.meet[a, b] == a)
@@ -149,33 +183,50 @@ class Lattice:
         return self.labels[a] if self.labels else str(a)
 
 
+def _row_blocks(n: int):
+    """Slices of 0..n-1 whose n-by-n planes hold at most BLOCK_ELEMENTS
+    entries together (at least one row each)."""
+    rows = max(1, BLOCK_ELEMENTS // (n * n))
+    return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
 def validate_laws(L: Lattice) -> list[LawIssue]:
     """Scan all pairs/triples for lattice-law violations.
 
     Empty result iff L is a bounded distributive lattice.  Violations are
     data, not errors; each carries the lexicographically first witness.
+    Each law is evaluated over blocks of its first index, so memory stays
+    O(BLOCK_ELEMENTS) however large n is.
     """
     M, J = L.meet, L.join
-    n = L.n
-    idx = np.arange(n)
+    idx = np.arange(L.n)
+    # law -> bad(s): where the law fails, first index restricted to slice s.
+    # T[T[s]][a,b,c] == T[T[a,b],c];  T[s][:, T][a,b,c] == T[a, T[b,c]]
+    laws = {
+        "meet-commutativity": lambda s: M[s] != M[:, s].T,
+        "join-commutativity": lambda s: J[s] != J[:, s].T,
+        "meet-associativity": lambda s: M[M[s]] != M[s][:, M],
+        "join-associativity": lambda s: J[J[s]] != J[s][:, J],
+        "join-absorption": lambda s: J[idx[s, None], M[s]] != idx[s, None],
+        "meet-absorption": lambda s: M[idx[s, None], J[s]] != idx[s, None],
+        "meet-over-join-distributivity": lambda s: (
+            M[s][:, J] != J[M[s][:, :, None], M[s][:, None, :]]
+        ),
+        "join-over-meet-distributivity": lambda s: (
+            J[s][:, M] != M[J[s][:, :, None], J[s][:, None, :]]
+        ),
+        "bottom-bound": lambda s: M[L.bottom, s] != L.bottom,
+        "top-bound": lambda s: J[L.top, s] != L.top,
+    }
     issues: list[LawIssue] = []
-
-    def record(law, bad):
-        where = np.argwhere(bad)
-        if where.size:
-            issues.append(LawIssue(law, tuple(int(v) for v in where[0])))
-
-    record("meet-commutativity", M != M.T)
-    record("join-commutativity", J != J.T)
-    # T[T][a,b,c] == T[T[a,b],c];  T[:, T][a,b,c] == T[a, T[b,c]]
-    record("meet-associativity", M[M] != M[:, M])
-    record("join-associativity", J[J] != J[:, J])
-    record("join-absorption", J[idx[:, None], M] != idx[:, None])
-    record("meet-absorption", M[idx[:, None], J] != idx[:, None])
-    record("meet-over-join-distributivity", M[:, J] != J[M[:, :, None], M[:, None, :]])
-    record("join-over-meet-distributivity", J[:, M] != M[J[:, :, None], J[:, None, :]])
-    record("bottom-bound", M[L.bottom] != L.bottom)
-    record("top-bound", J[L.top] != L.top)
+    for law, bad in laws.items():
+        for s in _row_blocks(L.n):
+            where = np.argwhere(bad(s))
+            if where.size:
+                first = [int(v) for v in where[0]]
+                first[0] += s.start
+                issues.append(LawIssue(law, tuple(first)))
+                break
     return issues
 
 

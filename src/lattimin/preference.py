@@ -56,6 +56,13 @@ def first_disagreement(r, s, items) -> Optional[tuple[int, int]]:
     return None
 
 
+def membership(sets, size: int) -> np.ndarray:
+    """Boolean matrix M with M[i, x] iff x is in sets[i], x in range(size)."""
+    M = np.zeros((len(sets), size), dtype=bool)
+    M[[i for i, s in enumerate(sets) for _ in s], [x for s in sets for x in s]] = True
+    return M
+
+
 def _worst_ranks(sets, ranks) -> list[int]:
     """Fast path: the worst (highest) member rank of each set.  An empty set
     scores below every rank, so it is weakly preferred to everything."""
@@ -73,15 +80,13 @@ def checked_worst_ranks(sets, ranks) -> list[int]:
     """
     worst = _worst_ranks(sets, ranks)
     r = np.asarray(ranks)
-    M = np.zeros((len(sets), len(r)), dtype=bool)
-    for i, s in enumerate(sets):
-        M[i, list(s)] = True
+    M = membership(sets, len(r))
     some = (r[:, None] <= r[None, :]) @ M.T  # some[x, b]: x matched in b
     rel = ~(M @ ~some)  # rel[a, b]: no member of a unmatched in b
     w = np.asarray(worst)
-    bad = np.argwhere(rel != (w[:, None] <= w[None, :]))
-    if bad.size:
-        a, b = (int(v) for v in bad[0])
+    bad = rel != (w[:, None] <= w[None, :])
+    if bad.any():
+        a, b = (int(v) for v in np.argwhere(bad)[0])
         raise RuntimeError(
             f"worst-rank fast path disagrees with literal formula at ({a},{b})"
         )

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import (
     AxiomViolation,
     IncompatiblePartition,
@@ -63,20 +65,25 @@ class Congruence:
 
 def congruence_from_classes(L: Lattice, classes) -> Congruence:
     """Validate compatibility of a partition; IncompatiblePartition with a
-    witness quadruple (a, b, a', b') on failure."""
+    witness quadruple (a, b, a', b') on failure.
+
+    (a, b) is the first pair, in row-major order, of the class pair that
+    (a', b') shares, and (a', b') the first pair whose result class differs
+    from that of its class pair's first pair; meet is checked before join.
+    """
     classes = class_ids(classes)
+    c = np.asarray(classes)
+    n = L.n
+    keys = (c[:, None] * n + c[None, :]).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first_of = first[inverse]  # first occurrence of each pair's key
     for op, table in (("meet", L.meet), ("join", L.join)):
-        seen: dict = {}
-        for a in range(L.n):
-            for b in range(L.n):
-                key = (classes[a], classes[b])
-                val = classes[int(table[a, b])]
-                if key in seen:
-                    prev_val, (a0, b0) = seen[key]
-                    if prev_val != val:
-                        raise IncompatiblePartition(op, (a0, b0, a, b))
-                else:
-                    seen[key] = (val, (a, b))
+        val = c[table].ravel()
+        bad = np.flatnonzero(val != val[first_of])
+        if bad.size:
+            a0, b0 = divmod(int(first_of[bad[0]]), n)
+            a, b = divmod(int(bad[0]), n)
+            raise IncompatiblePartition(op, (a0, b0, a, b))
     return Congruence(classes)
 
 

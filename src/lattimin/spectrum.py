@@ -88,15 +88,10 @@ def enumerate_prime_filters(L: Lattice) -> SpectralSpace:
     """All prime filters, sorted by bitset value for determinism.
 
     Every filter of a finite lattice is the up-set of its minimum, so it
-    suffices to classify principal up-sets.
+    suffices to classify principal up-sets (``Lattice.prime_upsets``).  The
+    result is computed once per lattice and shared (``Lattice.spectrum``).
     """
-    pts = []
-    for m in range(L.n):
-        F = L.upset(m)
-        if classify_subset(L, F).prime_filter:
-            pts.append(F)
-    pts.sort(key=point_mask)
-    return SpectralSpace(L, tuple(pts))
+    return L.spectrum
 
 
 def prime_filters_bruteforce(L: Lattice) -> list:

@@ -9,13 +9,14 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import TooLarge
-from .lattice import Lattice, Poset, downset_lattice
+from .errors import IncompatiblePartition, TooLarge
+from .lattice import Lattice, Poset, class_ids, downset_lattice
 from .preference import WeakOrder, dense_ranks
-from .representation import Representation, derive_pref_from_rep
+from .representation import Congruence, Representation, derive_pref_from_rep
 from .spectrum import enumerate_prime_filters
 
 EDGE_PROB = 0.4  # mixes chains and antichains well at size <= 6
+MAX_POSET_SIZE = 6
 
 
 def random_poset(size: int, rng: random.Random) -> Poset:
@@ -41,8 +42,10 @@ def random_poset(size: int, rng: random.Random) -> Poset:
 
 def random_distributive_lattice(max_poset_size: int, seed: int) -> Lattice:
     """Down-set lattice of a random poset; distributive by construction."""
-    if max_poset_size > 6:
-        raise TooLarge("random lattice generation capped at poset size 6")
+    if max_poset_size > MAX_POSET_SIZE:
+        raise TooLarge(
+            f"random lattice generation capped at poset size {MAX_POSET_SIZE}"
+        )
     rng = random.Random(seed)
     size = rng.randint(1, max_poset_size)
     return downset_lattice(random_poset(size, rng))
@@ -112,6 +115,25 @@ def literal_dominance(sets, ranks) -> list:
         [all(any(ranks[x] <= ranks[y] for y in B) for x in A) for B in sets]
         for A in sets
     ]
+
+
+def congruence_by_loop(L: Lattice, classes) -> Congruence:
+    """Plain-loop oracle for congruence_from_classes: the first incompatible
+    cell in row-major order, meet before join, raises IncompatiblePartition."""
+    classes = class_ids(classes)
+    for op, table in (("meet", L.meet), ("join", L.join)):
+        seen: dict = {}
+        for a in range(L.n):
+            for b in range(L.n):
+                key = (classes[a], classes[b])
+                val = classes[int(table[a, b])]
+                if key in seen:
+                    prev_val, (a0, b0) = seen[key]
+                    if prev_val != val:
+                        raise IncompatiblePartition(op, (a0, b0, a, b))
+                else:
+                    seen[key] = (val, (a, b))
+    return Congruence(classes)
 
 
 def all_posets(size: int):

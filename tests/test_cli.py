@@ -232,6 +232,22 @@ class TestInputErrors:
 
 
 class TestFuzz:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--trials", "-3"], "must not be negative"),
+            (["--max-size", "0"], "invalid choice: 0"),
+            (["--max-size", "-1"], "invalid choice: -1"),
+            (["--max-size", "7"], "invalid choice: 7"),
+        ],
+        ids=["negative-trials", "max-size-0", "max-size-negative", "max-size-7"],
+    )
+    def test_bad_arguments_refused(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--trials", "0", *args])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_small_run_passes_and_reproduces(self, tmp_path, capsys):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

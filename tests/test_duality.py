@@ -1,3 +1,5 @@
+import random
+
 from lattimin import (
     WeakOrder,
     dual_backward,
@@ -10,9 +12,11 @@ from lattimin import (
 from lattimin.duality import nonzero_elements
 from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
 from lattimin.testkit import (
+    derived_weak_order,
     enumerate_weak_orders,
     literal_dominance,
     random_distributive_lattice,
+    random_weak_order,
 )
 
 
@@ -128,3 +132,20 @@ class TestDualityEquivalence:
             for i, a in enumerate(nz):
                 for j, b in enumerate(nz):
                     assert rel[i][j] == (back[a] <= back[b])
+
+    def test_witness_matches_per_pair_filter_witness(self):
+        rng = random.Random(11)
+        for seed in range(300):
+            L = random_distributive_lattice(5, seed)
+            S = enumerate_prime_filters(L)
+            if seed % 2:
+                W = derived_weak_order(L, seed)
+            else:
+                W = WeakOrder(random_weak_order(L.n, rng))
+            nz = nonzero_elements(L)
+            per_pair = all(
+                (filter_witness(L, S, W, a, b) is not None) == W.weakly_prefers(a, b)
+                for a in nz
+                for b in nz
+            )
+            assert duality_equivalence_report(L, W).witness_matches == per_pair

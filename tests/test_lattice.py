@@ -20,8 +20,8 @@ from lattimin import (
     relative_complements,
     validate_laws,
 )
-from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, M3, N5
-from lattimin.lattice import compose
+from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, M3, N5, chain
+from lattimin.lattice import BLOCK_ELEMENTS, Lattice, compose
 from lattimin.testkit import random_poset
 
 from conftest import same_tables
@@ -74,6 +74,44 @@ class TestValidateLaws:
         assert any("distributivity" in i.law for i in issues)
         witness = next(i.witness for i in issues if "distributivity" in i.law)
         assert len(witness) == 3 and all(0 <= w < 5 for w in witness)
+
+
+def unchunked_laws(L):
+    """validate_laws as one n^3 expression per law."""
+    M, J, idx = L.meet, L.join, np.arange(L.n)
+    bad = {
+        "meet-commutativity": M != M.T,
+        "join-commutativity": J != J.T,
+        "meet-associativity": M[M] != M[:, M],
+        "join-associativity": J[J] != J[:, J],
+        "join-absorption": J[idx[:, None], M] != idx[:, None],
+        "meet-absorption": M[idx[:, None], J] != idx[:, None],
+        "meet-over-join-distributivity": M[:, J] != J[M[:, :, None], M[:, None, :]],
+        "join-over-meet-distributivity": J[:, M] != M[J[:, :, None], J[:, None, :]],
+        "bottom-bound": M[L.bottom] != L.bottom,
+        "top-bound": J[L.top] != L.top,
+    }
+    return [
+        (law, tuple(int(v) for v in np.argwhere(b)[0])) for law, b in bad.items() if b.any()
+    ]
+
+
+class TestChunkedValidateLaws:
+    def test_witnesses_past_the_first_block(self):
+        n = 128
+        assert n**3 > BLOCK_ELEMENTS
+        rows = BLOCK_ELEMENTS // n**2  # first indices per block
+        C = chain(n)
+        join = C.join.copy()
+        join[90, 120] = 7  # row 90 lies past the first block
+        L = Lattice(C.meet, join, C.bottom, C.top)
+        issues = [(i.law, i.witness) for i in validate_laws(L)]
+        assert issues == unchunked_laws(L)
+        assert ("join-commutativity", (90, 120)) in issues and 90 >= rows
+
+    def test_fixtures_match_unchunked(self):
+        for L in (CHAIN3, B2, M3, N5):
+            assert [(i.law, i.witness) for i in validate_laws(L)] == unchunked_laws(L)
 
 
 class TestRelativeComplement:

@@ -29,6 +29,7 @@ from lattimin.representation import (
     kernel,
 )
 from lattimin.testkit import (
+    congruence_by_loop,
     duplicate_outcome,
     random_distributive_lattice,
     random_representation,
@@ -107,6 +108,28 @@ class TestQuotient:
         with pytest.raises(IncompatiblePartition) as ei:
             quotient(B2, Congruence((0, 0, 1, 2)))
         assert len(ei.value.witness) == 4
+
+    def test_congruence_check_matches_loop_oracle(self):
+        def outcome(check, L, classes):
+            try:
+                return check(L, classes)
+            except IncompatiblePartition as e:
+                return e.op, e.witness
+
+        rng = random.Random(5)
+        outcomes = set()
+        for seed in range(400):
+            L = random_distributive_lattice(5, seed)
+            if seed % 2:  # a congruence: classes of a | m for a fixed m
+                m = rng.randrange(L.n)
+                classes = [int(L.join[a, m]) for a in L.elements()]
+            else:
+                k = rng.randint(1, L.n)
+                classes = [rng.randrange(k) for _ in L.elements()]
+            fast = outcome(congruence_from_classes, L, classes)
+            assert fast == outcome(congruence_by_loop, L, classes), seed
+            outcomes.add(fast[0] if isinstance(fast, tuple) else "congruence")
+        assert outcomes == {"meet", "join", "congruence"}
 
     def test_kernel_of_projection_is_congruence(self):
         C = Congruence((0, 0, 1))

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from lattimin import (
+    Lattice,
     check_sigma_isomorphism,
     classify_subset,
     enumerate_prime_filters,
@@ -11,7 +13,8 @@ from lattimin import (
     join_irreducibles,
     prime_filters_bruteforce,
 )
-from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3
+from lattimin import duality_equivalence_report, lattice as lattice_module
+from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3
 from lattimin.testkit import random_distributive_lattice
 
 FIXTURES = [CHAIN2, CHAIN3, B2, B3]
@@ -59,6 +62,54 @@ class TestEnumeratePrimeFilters:
             L = random_distributive_lattice(4, seed)
             S = enumerate_prime_filters(L)
             assert list(S.points) == prime_filters_bruteforce(L)
+
+
+def random_tables(seed):
+    """A seeded table pair on 1..8 elements: uniform noise on even seeds, a
+    lawful lattice with a few entries overwritten on odd ones."""
+    rng = random.Random(seed)
+    if seed % 2:
+        L = random_distributive_lattice(4, seed)
+        meet, join, n = L.meet.copy(), L.join.copy(), L.n
+        for _ in range(rng.randint(1, 3)):
+            table = meet if rng.random() < 0.5 else join
+            table[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+        return Lattice(meet, join, L.bottom, L.top)
+    n = rng.randint(1, 8)
+    meet, join = (np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+                  for _ in range(2))
+    return Lattice(meet, join, rng.randrange(n), rng.randrange(n))
+
+
+class TestPrimeUpsets:
+    """Lattice.prime_upsets against the per-subset classification."""
+
+    @staticmethod
+    def per_subset(L):
+        return [classify_subset(L, L.upset(m)).prime_filter for m in L.elements()]
+
+    @pytest.mark.parametrize(
+        "L", FIXTURES + [M3, N5], ids=FIXTURE_IDS + ["m3", "n5"]
+    )
+    def test_fixtures(self, L):
+        assert list(L.prime_upsets) == self.per_subset(L)
+
+    def test_law_broken_tables(self):
+        for seed in range(600):
+            L = random_tables(seed)
+            assert list(L.prime_upsets) == self.per_subset(L), seed
+
+    def test_spectrum_computed_once_per_lattice(self, monkeypatch):
+        calls = []
+        row_blocks = lattice_module._row_blocks
+        monkeypatch.setattr(
+            lattice_module, "_row_blocks", lambda n: calls.append(n) or row_blocks(n)
+        )
+        L = Lattice(CHAIN3.meet.copy(), CHAIN3.join.copy(), CHAIN3.bottom, CHAIN3.top)
+        S = enumerate_prime_filters(L)
+        assert enumerate_prime_filters(L) is S
+        duality_equivalence_report(L, W3)
+        assert calls == [L.n]
 
 
 class TestSigma:
