@@ -156,9 +156,9 @@ def cmd_factor(args):
     }
 
 
-def _fuzz_trial(base_seed, trial, max_size):
-    """Verdict of each FUZZ_CHECKS check, in order, on one seeded lattice."""
-    seed = base_seed * 1_000_003 + trial
+def _fuzz_trial(seed, max_size):
+    """The size of the seeded lattice and the verdict of each FUZZ_CHECKS
+    check on it, in order."""
     rng = random.Random(seed)
     L = random_distributive_lattice(max_size, seed)
     W_good = derived_weak_order(L, seed + 1)
@@ -171,7 +171,7 @@ def _fuzz_trial(base_seed, trial, max_size):
         R_alt = duplicate_outcome(R_min, rng.randrange(R_min.outcome_count))
         result = factor_check(L, W_good, R_alt, R_min)
         factored = not isinstance(result, Refutation) and check_hom(result)
-    return (
+    return L.n, (
         rep3.equivalent and rep3.axioms_hold,
         rep3r.equivalent,
         axioms12_hold(L, derived),
@@ -184,11 +184,12 @@ def cmd_fuzz(args):
     totals = dict.fromkeys(FUZZ_CHECKS, 0)
     failures = []
     for trial in range(args.trials):
-        verdicts = _fuzz_trial(args.seed, trial, args.max_size)
+        seed = args.seed * 1_000_003 + trial
+        n, verdicts = _fuzz_trial(seed, args.max_size)
         for check, ok in zip(FUZZ_CHECKS, verdicts):
             totals[check] += int(ok)
             if not ok:
-                failures.append({"trial": trial, "check": check})
+                failures.append({"trial": trial, "check": check, "seed": seed, "n": n})
         log.info("trial %d done", trial)
     report = {
         "seed": args.seed,

@@ -1,11 +1,15 @@
 import json
 import pathlib
+import random
 
 import pytest
 
+from lattimin import cli
 from lattimin.cli import main
-from lattimin.fixtures import CHAIN3, M3
+from lattimin.fixtures import CHAIN3, M3, N5, chain
 from lattimin.io import lattice_to_dict
+from lattimin.lattice import Lattice, Poset, downset_lattice
+from lattimin.testkit import random_distributive_lattice, random_poset
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -52,6 +56,59 @@ class TestValidate:
     def test_poset_input_accepted(self, chain3_poset_file, capsys):
         code, report = run(["validate", "--lattice", chain3_poset_file], capsys)
         assert code == 0 and report["valid"]
+
+    def test_law_broken_reports_match_golden_file(self, tmp_path):
+        golden = GOLDEN / "validate_broken.json"
+        assert validate_reports(tmp_path) == golden.read_bytes()
+
+    def test_golden_cases_cover_every_law_and_several_blocks(self):
+        cases = json.loads((GOLDEN / "validate_broken.json").read_text())
+        laws = {v["law"] for c in cases for v in c["report"]["violations"]}
+        assert len(laws) == 10 and all(c["exit"] == 1 for c in cases)
+        assert sum("-n128-" in c["case"] for c in cases) == 3
+
+
+def law_broken_tables():
+    """Twenty seeded law-broken tables, named.  Each case breaks one thing in
+    a lawful lattice: one entry, a symmetric pair of entries, the bottom or
+    the top.  Every fifth lattice has 128 elements, so validate_laws scans it
+    in two blocks, and its broken entries lie in the second block.  M3 and N5
+    break distributivity alone."""
+    cases = [("m3", M3), ("n5", N5)]
+    for seed in range(18):
+        rng = random.Random(seed)
+        if seed % 5 == 4:
+            L = chain(128) if seed % 10 == 4 else downset_lattice(Poset(7))
+        else:
+            L = downset_lattice(random_poset(rng.randint(1, 5), rng))
+        meet, join, bottom, top, n = L.meet.copy(), L.join.copy(), L.bottom, L.top, L.n
+        kind = ("entry", "pair", "bottom", "top")[seed % 4]
+        if kind == "bottom":
+            bottom = rng.choice([a for a in range(n) if a != L.bottom])
+        elif kind == "top":
+            top = rng.choice([a for a in range(n) if a != L.top])
+        else:
+            table = meet if rng.random() < 0.5 else join
+            a, b = rng.randrange(n // 2, n), rng.randrange(n // 2, n)
+            value = rng.choice([v for v in range(n) if v != table[a, b]])
+            table[a, b] = value
+            if kind == "pair":
+                table[b, a] = value
+        cases.append((f"seed{seed}-n{n}-{kind}", Lattice(meet, join, bottom, top)))
+    return cases
+
+
+def validate_reports(tmp_path) -> bytes:
+    """The `lattimin validate` exit code and report of every law-broken table,
+    as one JSON document."""
+    out = []
+    for name, L in law_broken_tables():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(lattice_to_dict(L)))
+        report = tmp_path / f"{name}.report.json"
+        code = main(["validate", "--lattice", str(path), "--out", str(report)])
+        out.append({"case": name, "exit": code, "report": json.loads(report.read_text())})
+    return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestPosetInput:
@@ -258,6 +315,19 @@ class TestFuzz:
         report = json.loads(out1.read_text())
         assert report["failures"] == []
         assert report["pass_counts"]["duality_derived"] == 5
+
+    def test_failure_records_derived_seed_and_size(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "verify_representation", lambda L, W, R: (False, None))
+        out = tmp_path / "fuzz.json"
+        args = ["fuzz", "--seed", "7", "--trials", "3", "--max-size", "3"]
+        assert main(args + ["--out", str(out)]) == 1
+        failures = json.loads(out.read_text())["failures"]
+        assert [(f["trial"], f["check"]) for f in failures] == [
+            (trial, "synthesis_verifies") for trial in range(3)
+        ]
+        for f in failures:
+            assert f["seed"] == 7 * 1_000_003 + f["trial"]
+            assert f["n"] == random_distributive_lattice(3, f["seed"]).n
 
     def test_seed42_report_matches_golden_file(self, tmp_path, capsys):
         out = tmp_path / "fuzz.json"

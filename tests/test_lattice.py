@@ -20,11 +20,18 @@ from lattimin import (
     relative_complements,
     validate_laws,
 )
-from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, M3, N5, chain
-from lattimin.lattice import BLOCK_ELEMENTS, Lattice, compose
-from lattimin.testkit import random_poset
+from lattimin import lattice as lattice_module
+from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, chain
+from lattimin.lattice import (
+    BLOCK_ELEMENTS,
+    Lattice,
+    _embeds_in_powerset,
+    _scan_laws,
+    compose,
+)
+from lattimin.testkit import random_distributive_lattice, random_poset
 
-from conftest import same_tables
+from conftest import random_tables, same_tables
 
 
 class TestBuildLattice:
@@ -112,6 +119,70 @@ class TestChunkedValidateLaws:
     def test_fixtures_match_unchunked(self):
         for L in (CHAIN3, B2, M3, N5):
             assert [(i.law, i.witness) for i in validate_laws(L)] == unchunked_laws(L)
+
+
+def with_bounds(L, bottom, top):
+    return Lattice(L.meet, L.join, bottom, top)
+
+
+class TestBirkhoffCertificate:
+    """The embedding certificate accepts exactly the tables the law scan
+    finds lawful, and validate_laws scans only the tables it rejects."""
+
+    LAWFUL = [CHAIN2, CHAIN3, B2, B3] + [
+        random_distributive_lattice(6, seed) for seed in range(100)
+    ]
+
+    @staticmethod
+    def verdicts(L):
+        return _embeds_in_powerset(L), _scan_laws(L) == []
+
+    def test_fixtures_and_random_downset_lattices(self):
+        for L in self.LAWFUL:
+            assert self.verdicts(L) == (True, True)
+        for L in [M3, N5]:
+            assert self.verdicts(L) == (False, False)
+
+    def test_law_broken_tables(self):
+        seen = set()
+        for seed in range(600):
+            certified, lawful = self.verdicts(random_tables(seed))
+            assert certified == lawful, seed
+            seen.add(certified)
+        assert seen == {True, False}
+
+    def test_every_two_element_table(self):
+        for entries in itertools.product(range(2), repeat=10):
+            meet = np.reshape(entries[:4], (2, 2))
+            join = np.reshape(entries[4:8], (2, 2))
+            certified, lawful = self.verdicts(Lattice(meet, join, *entries[8:]))
+            assert certified == lawful, entries
+
+    def test_only_a_bound_broken(self):
+        for L in self.LAWFUL:
+            for a in range(L.n):
+                for T, law in ((with_bounds(L, a, L.top), "bottom-bound"),
+                               (with_bounds(L, L.bottom, a), "top-bound")):
+                    if (T.bottom, T.top) == (L.bottom, L.top):
+                        continue
+                    assert [i.law for i in _scan_laws(T)] == [law]
+                    assert not _embeds_in_powerset(T)
+
+    def test_scan_runs_only_on_broken_input(self, monkeypatch):
+        scanned = []
+        scan = lattice_module._scan_laws
+        monkeypatch.setattr(
+            lattice_module, "_scan_laws", lambda L: scanned.append(L) or scan(L)
+        )
+        for L in self.LAWFUL:
+            assert validate_laws(L) == []
+        assert scanned == []
+        broken = [M3, N5, with_bounds(B2, B2_A, B2.top)]
+        broken += [L for L in map(random_tables, range(100)) if scan(L)]
+        for L in broken:
+            assert validate_laws(L) == scan(L) != []
+            assert scanned[-1] is L
+        assert len(scanned) == len(broken)
 
 
 class TestRelativeComplement:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from lattimin import (
@@ -18,6 +19,7 @@ from lattimin import (
 )
 from lattimin.errors import AxiomsNotSatisfied
 from lattimin.fixtures import B2, B2_A, B2_B, CHAIN3, W3
+from lattimin.lattice import BLOCK_ELEMENTS, Poset, downset_lattice
 from lattimin import preference
 from lattimin.preference import (
     axioms12_hold,
@@ -52,6 +54,29 @@ class TestAxiom2:
 
     def test_total_indifference_clean(self):
         assert check_axiom2(B2, WeakOrder((0, 0, 0, 0))) == []
+
+    def test_blocks_match_unchunked_expression(self):
+        L = downset_lattice(Poset(7))  # B7: 128 elements, two blocks of a
+        n = L.n
+        rows = BLOCK_ELEMENTS // n**2  # values of a per block
+        # Larger down-sets more preferred, which alone breaks nothing; then
+        # two elements made the worst of all.
+        ranks = [7 - label.count(",") - (label != "{}") for label in L.labels]
+        ranks[40] = ranks[100] = 8
+        r = np.asarray(ranks)
+        strict = r[:, None] < r[None, :]
+        rj = r[L.join]
+        for domain in (None, range(10, n, 3)):
+            dom = np.zeros(n, dtype=bool)
+            dom[list(domain or range(n))] = True
+            bad = (
+                strict[:, None, :] & strict[None, :, :] & (rj[:, :, None] >= r)
+                & dom[:, None, None] & dom[None, :, None] & dom[None, None, :]
+            )
+            expected = [tuple(int(v) for v in w) for w in np.argwhere(bad)]
+            got = check_axiom2(L, WeakOrder(ranks), domain)
+            assert got == expected
+            assert min(a for a, _, _ in got) < rows <= max(a for a, _, _ in got)
 
 
 class TestAxiom3:

@@ -1,6 +1,3 @@
-import random
-
-import numpy as np
 import pytest
 
 from lattimin import (
@@ -16,6 +13,8 @@ from lattimin import (
 from lattimin import duality_equivalence_report, lattice as lattice_module
 from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3
 from lattimin.testkit import random_distributive_lattice
+
+from conftest import random_tables
 
 FIXTURES = [CHAIN2, CHAIN3, B2, B3]
 FIXTURE_IDS = ["c2", "c3", "b2", "b3"]
@@ -62,23 +61,6 @@ class TestEnumeratePrimeFilters:
             L = random_distributive_lattice(4, seed)
             S = enumerate_prime_filters(L)
             assert list(S.points) == prime_filters_bruteforce(L)
-
-
-def random_tables(seed):
-    """A seeded table pair on 1..8 elements: uniform noise on even seeds, a
-    lawful lattice with a few entries overwritten on odd ones."""
-    rng = random.Random(seed)
-    if seed % 2:
-        L = random_distributive_lattice(4, seed)
-        meet, join, n = L.meet.copy(), L.join.copy(), L.n
-        for _ in range(rng.randint(1, 3)):
-            table = meet if rng.random() < 0.5 else join
-            table[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
-        return Lattice(meet, join, L.bottom, L.top)
-    n = rng.randint(1, 8)
-    meet, join = (np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
-                  for _ in range(2))
-    return Lattice(meet, join, rng.randrange(n), rng.randrange(n))
 
 
 class TestPrimeUpsets:
