@@ -8,6 +8,7 @@ report), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -212,7 +213,10 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="lattimin",
         description="Maximin preference representations on finite distributive lattices",

@@ -14,14 +14,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptySigma
-from .lattice import Lattice
+from .lattice import Lattice, membership
 from .preference import (
     WeakOrder,
     axioms12_hold,
     checked_worst_ranks,
     dense_ranks,
     first_disagreement,
-    membership,
 )
 from .spectrum import SpectralSpace, enumerate_prime_filters
 

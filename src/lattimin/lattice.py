@@ -228,7 +228,15 @@ def _embeds_in_powerset(L: Lattice) -> bool:
     P = np.ascontiguousarray(np.packbits(M[S] == S[:, None], axis=0).T)
     if len({row.tobytes() for row in P}) < n:
         return False
-    for s in _row_blocks(n):
+    return _is_set_hom(L, P)
+
+
+def _is_set_hom(L: Lattice, P: np.ndarray) -> bool:
+    """True iff the packed bit rows P, one set per element, satisfy
+    P[a & b] == P[a] & P[b] and P[a | b] == P[a] | P[b] for every pair,
+    evaluated over row blocks of a."""
+    M, J = L.meet, L.join
+    for s in _row_blocks(L.n):
         if not np.array_equal(P[M[s]], P[s, None] & P[None]):
             return False
         if not np.array_equal(P[J[s]], P[s, None] | P[None]):
@@ -430,3 +438,16 @@ def class_ids(keys) -> tuple[int, ...]:
     a hom h is class_ids(h.mapping)."""
     ids: dict = {}
     return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
+def row_class_ids(rows: np.ndarray) -> tuple[int, ...]:
+    """class_ids of the rows of a boolean matrix, each keyed by its packed
+    bits: equal rows, equal ids."""
+    return class_ids(row.tobytes() for row in np.packbits(rows, axis=1))
+
+
+def membership(sets, size: int) -> np.ndarray:
+    """Boolean matrix M with M[i, x] iff x is in sets[i], x in range(size)."""
+    M = np.zeros((len(sets), size), dtype=bool)
+    M[[i for i, s in enumerate(sets) for _ in s], [x for s in sets for x in s]] = True
+    return M

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxiomsNotSatisfied, NotAnIdeal
-from .lattice import Lattice, _row_blocks
+from .lattice import Lattice, _row_blocks, membership, row_class_ids
 from .spectrum import classify_subset
 
 
@@ -54,13 +54,6 @@ def first_disagreement(r, s, items) -> Optional[tuple[int, int]]:
             if (r[a] <= r[b]) != (s[a] <= s[b]):
                 return a, b
     return None
-
-
-def membership(sets, size: int) -> np.ndarray:
-    """Boolean matrix M with M[i, x] iff x is in sets[i], x in range(size)."""
-    M = np.zeros((len(sets), size), dtype=bool)
-    M[[i for i, s in enumerate(sets) for _ in s], [x for s in sets for x in s]] = True
-    return M
 
 
 def _worst_ranks(sets, ranks) -> list[int]:
@@ -127,20 +120,23 @@ def check_axiom2(L: Lattice, W: WeakOrder, domain=None) -> list:
 
 
 def trivializer_set(L: Lattice, W: WeakOrder, a: int) -> frozenset:
-    """{b : a & b ~ bottom}, the set of descriptions trivializing a."""
+    """{b : a & b ~ bottom}, the set of descriptions trivializing a: the
+    literal definition, which check_axiom3 evaluates for every a at once."""
     r0 = W.ranks[L.bottom]
     return frozenset(b for b in range(L.n) if W.ranks[int(L.meet[a, b])] == r0)
 
 
 def check_axiom3(L: Lattice, W: WeakOrder) -> list:
-    """Violating pairs (a, a') with identical trivializer sets but a !~ a'."""
-    keys = [trivializer_set(L, W, a) for a in range(L.n)]
-    out = []
-    for a in range(L.n):
-        for a2 in range(a + 1, L.n):
-            if keys[a] == keys[a2] and not W.indifferent(a, a2):
-                out.append((a, a2))
-    return out
+    """Violating pairs (a, a') with identical trivializer sets but a !~ a',
+    in lexicographic order.  Row a of [r(a & b) == r(bottom)] is the
+    trivializer set of a, so equal rows mean equal sets."""
+    r = np.asarray(W.ranks)
+    key = row_class_ids((r == r[L.bottom])[L.meet])
+    if len(set(zip(key, W.ranks))) == len(set(key)):  # one rank per key
+        return []
+    k = np.asarray(key)
+    bad = np.triu((k[:, None] == k) & (r[:, None] != r), 1)
+    return [(int(a), int(a2)) for a, a2 in np.argwhere(bad)]
 
 
 def axioms12_hold(L: Lattice, W: WeakOrder, domain=None) -> bool:

@@ -19,7 +19,14 @@ from .errors import (
     NotAnIdeal,
     NotARepresentation,
 )
-from .lattice import Lattice, LatticeHom, build_lattice, class_ids, mask_family_lattice
+from .lattice import (
+    Lattice,
+    LatticeHom,
+    build_lattice,
+    class_ids,
+    mask_family_lattice,
+    row_class_ids,
+)
 from .preference import (
     WeakOrder,
     check_axiom1,
@@ -113,11 +120,10 @@ def congruence_beta_dprime(L: Lattice, I) -> Congruence:
     """Coarse congruence: a ~ b iff a and b are trivialized into the ideal by
     exactly the same elements."""
     Iset = _require_ideal(L, I)
-    keys = [
-        frozenset(c for c in range(L.n) if int(L.meet[a, c]) in Iset)
-        for a in range(L.n)
-    ]
-    C = congruence_from_classes(L, keys)
+    in_ideal = np.zeros(L.n, dtype=bool)
+    in_ideal[list(Iset)] = True
+    # row a of in_ideal[meet] is {c : a & c in I}
+    C = congruence_from_classes(L, row_class_ids(in_ideal[L.meet]))
     if C.members(C.cls(L.bottom)) != Iset:
         raise NotAnIdeal("bottom class does not equal the ideal")
     return C
@@ -126,16 +132,20 @@ def congruence_beta_dprime(L: Lattice, I) -> Congruence:
 def quotient(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
     """Quotient lattice over class representatives plus the projection hom."""
     C = congruence_from_classes(L, C.classes)
-    reps = C.representatives
-    k = C.num_classes
-    qmeet = [[C.cls(int(L.meet[reps[i], reps[j]])) for j in range(k)] for i in range(k)]
-    qjoin = [[C.cls(int(L.join[reps[i], reps[j]])) for j in range(k)] for i in range(k)]
+    cls, reps = np.asarray(C.classes), list(C.representatives)
     labels = None
     if L.labels is not None:
-        labels = tuple(
-            "|".join(L.labels[a] for a in sorted(C.members(c))) for c in range(k)
-        )
-    Q = build_lattice(qmeet, qjoin, C.cls(L.bottom), C.cls(L.top), labels)
+        names: list = [[] for _ in reps]
+        for a, c in enumerate(C.classes):
+            names[c].append(L.labels[a])
+        labels = tuple("|".join(m) for m in names)
+    Q = build_lattice(
+        cls[L.meet[np.ix_(reps, reps)]],
+        cls[L.join[np.ix_(reps, reps)]],
+        C.cls(L.bottom),
+        C.cls(L.top),
+        labels,
+    )
     h = LatticeHom(L, Q, C.classes)
     return Q, h
 
@@ -243,13 +253,14 @@ def factor_check(
         ok, _ = verify_representation(L, W, R)
         if not ok:
             raise NotARepresentation("representation does not reproduce W")
-    for a in range(L.n):
-        for b in range(a + 1, L.n):
-            if (
-                R_other.sigma_map[a] == R_other.sigma_map[b]
-                and R_min.sigma_map[a] != R_min.sigma_map[b]
-            ):
-                return Refutation((a, b))
+    # split is symmetric with a false diagonal, so its first true entry in
+    # row-major order is the first pair a < b with equal R_other images but
+    # unequal R_min ones
+    other = np.asarray(class_ids(R_other.sigma_map))
+    least = np.asarray(class_ids(R_min.sigma_map))
+    split = (other[:, None] == other) & (least[:, None] != least)
+    if split.any():
+        return Refutation(divmod(int(split.argmax()), L.n))
     src_masks = [point_mask(s) for s in R_other.sigma_map]
     dst_masks = [point_mask(s) for s in R_min.sigma_map]
     src, src_index = mask_family_lattice(src_masks)

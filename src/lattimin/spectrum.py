@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import TooLarge
-from .lattice import Lattice
+from .lattice import Lattice, _is_set_hom, membership
 
 
 def point_mask(points) -> int:
@@ -126,18 +128,15 @@ def join_irreducibles(L: Lattice) -> frozenset:
 def is_powerset_hom(L: Lattice, images, size: int) -> bool:
     """True iff images (one set per element of L) send bottom/top to
     empty/full and meet/join to intersection/union in the powerset of
-    range(size)."""
-    if len(images) != L.n:
+    range(size).  Meet and join are compared for all pairs at once on the
+    images' packed bit rows; a set with a member outside range(size) is not
+    in that powerset."""
+    full = frozenset(range(size))
+    if len(images) != L.n or images[L.bottom] or images[L.top] != full:
         return False
-    if images[L.bottom] != frozenset() or images[L.top] != frozenset(range(size)):
+    if not all(s <= full for s in images):
         return False
-    for a in range(L.n):
-        for b in range(L.n):
-            if images[int(L.meet[a, b])] != images[a] & images[b]:
-                return False
-            if images[int(L.join[a, b])] != images[a] | images[b]:
-                return False
-    return True
+    return _is_set_hom(L, np.packbits(membership(images, size), axis=1))
 
 
 def check_sigma_isomorphism(S: SpectralSpace) -> bool:

@@ -11,7 +11,7 @@ import random
 
 from .errors import IncompatiblePartition, TooLarge
 from .lattice import Lattice, Poset, class_ids, downset_lattice
-from .preference import WeakOrder, dense_ranks
+from .preference import WeakOrder, dense_ranks, trivializer_set
 from .representation import Congruence, Representation, derive_pref_from_rep
 from .spectrum import enumerate_prime_filters
 
@@ -134,6 +134,72 @@ def congruence_by_loop(L: Lattice, classes) -> Congruence:
                 else:
                     seen[key] = (val, (a, b))
     return Congruence(classes)
+
+
+def powerset_hom_by_loop(L: Lattice, images, size: int) -> bool:
+    """Plain-loop oracle for spectrum.is_powerset_hom: bounds, then every
+    pair's meet and join as set operations."""
+    if len(images) != L.n:
+        return False
+    if images[L.bottom] != frozenset() or images[L.top] != frozenset(range(size)):
+        return False
+    for a in range(L.n):
+        for b in range(L.n):
+            if images[int(L.meet[a, b])] != images[a] & images[b]:
+                return False
+            if images[int(L.join[a, b])] != images[a] | images[b]:
+                return False
+    return True
+
+
+def axiom3_by_loop(L: Lattice, W: WeakOrder) -> list:
+    """Plain-loop oracle for preference.check_axiom3, comparing the literal
+    trivializer sets pair by pair."""
+    keys = [trivializer_set(L, W, a) for a in range(L.n)]
+    return [
+        (a, a2)
+        for a in range(L.n)
+        for a2 in range(a + 1, L.n)
+        if keys[a] == keys[a2] and not W.indifferent(a, a2)
+    ]
+
+
+def trivializer_classes_by_loop(L: Lattice, I) -> tuple[int, ...]:
+    """Plain-loop oracle for the classes behind
+    representation.congruence_beta_dprime: a ~ b iff {c : a & c in I} and
+    {c : b & c in I} are equal sets."""
+    return class_ids(
+        frozenset(c for c in range(L.n) if int(L.meet[a, c]) in I) for a in range(L.n)
+    )
+
+
+def quotient_by_loop(L: Lattice, C: Congruence):
+    """Plain-loop oracle for the tables and labels of
+    representation.quotient: (meet, join, labels) over the representatives."""
+    reps, k = C.representatives, C.num_classes
+    meet = [[C.cls(int(L.meet[reps[i], reps[j]])) for j in range(k)] for i in range(k)]
+    join = [[C.cls(int(L.join[reps[i], reps[j]])) for j in range(k)] for i in range(k)]
+    labels = None
+    if L.labels is not None:
+        labels = tuple(
+            "|".join(L.labels[a] for a in sorted(C.members(c))) for c in range(k)
+        )
+    return meet, join, labels
+
+
+def kernel_split_by_loop(R_other: Representation, R_min: Representation):
+    """Plain-loop oracle for the Refutation witness of
+    representation.factor_check: the first pair a < b with equal R_other
+    images but unequal R_min images, or None."""
+    n = len(R_other.sigma_map)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (
+                R_other.sigma_map[a] == R_other.sigma_map[b]
+                and R_min.sigma_map[a] != R_min.sigma_map[b]
+            ):
+                return a, b
+    return None
 
 
 def all_posets(size: int):

@@ -7,9 +7,17 @@ import pytest
 from lattimin import cli
 from lattimin.cli import main
 from lattimin.fixtures import CHAIN3, M3, N5, chain
-from lattimin.io import lattice_to_dict
+from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
-from lattimin.testkit import random_distributive_lattice, random_poset
+from lattimin.preference import WeakOrder
+from lattimin.representation import derive_pref_from_rep, minimal_representation
+from lattimin.testkit import (
+    duplicate_outcome,
+    random_distributive_lattice,
+    random_poset,
+    random_representation,
+    random_weak_order,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -109,6 +117,127 @@ def validate_reports(tmp_path) -> bytes:
         code = main(["validate", "--lattice", str(path), "--out", str(report)])
         out.append({"case": name, "exit": code, "report": json.loads(report.read_text())})
     return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestPipelineGolden:
+    """axioms, dualize, represent and factor reports on seeded inputs, pinned
+    byte for byte."""
+
+    def test_reports_match_golden_file(self, tmp_path):
+        golden = GOLDEN / "cli_reports.json"
+        assert pipeline_reports(tmp_path) == golden.read_bytes()
+
+    def test_golden_cases_cover_fallback_refutation_and_posets(self):
+        cases = json.loads((GOLDEN / "cli_reports.json").read_text())
+        assert len(cases) == 20
+        exits = [c["exit"] for c in cases]
+        ax3_broken = [c for c in cases if c["axioms"]["axiom3"]
+                      and c["exit"]["represent"] == 0]
+        assert len(ax3_broken) >= 5  # the fine-congruence fallback
+        assert sum(e["factor"] == 1 for e in exits) >= 3  # refutations
+        assert sum(e["factor"] == 0 for e in exits) >= 8
+        assert sum(e["represent"] == 1 for e in exits) >= 3  # axiom violations
+        assert sum(c["case"].startswith("poset-") for c in cases) >= 5
+        assert any("-n128-" in c["case"] for c in cases)
+
+
+# (format, lattice source, order source) per golden case.  "derived" orders
+# come from random_representation(L, seed), which is also the factor input;
+# "dup" factors a duplicated outcome of the minimal representation; "random"
+# orders break axiom 1.  The derived orders of seeds 7..93 and of P8 (the
+# down-sets of a 3-chain beside 5 points, 128 elements) break axiom 3;
+# factor refutes 38, 61, 84, 93 and P8.
+PIPELINE_CASES = [
+    ("table", 0, "derived"), ("poset", 5, "derived"), ("table", 11, "derived"),
+    ("poset", 13, "derived"), ("table", 30, "derived"),
+    ("table", 7, "derived"), ("poset", 9, "derived"), ("table", 16, "derived"),
+    ("table", 38, "derived"), ("poset", 61, "derived"), ("table", 84, "derived"),
+    ("poset", 93, "derived"),
+    ("table", 1, "random"), ("poset", 2, "random"), ("table", 3, "random"),
+    ("table", 4, "random"),
+    ("table", 12, "dup"), ("poset", 17, "dup"),
+    ("poset", "B7", "derived"), ("table", "P8", "derived"),
+]
+
+
+def pipeline_inputs():
+    """Named (lattice file dict, ranks, representation dict) per case."""
+    for fmt, source, order in PIPELINE_CASES:
+        if source == "B7":
+            seed, P = 200, Poset(7)
+        elif source == "P8":
+            seed, P = 208, Poset(8, ((0, 1), (1, 2)))
+        else:
+            rng = random.Random(source)
+            seed, P = source, random_poset(rng.randint(2, 5), rng)
+        L = downset_lattice(P)
+        if fmt == "poset":
+            lattice = {"poset": {"n": P.n, "covers": [list(c) for c in P.covers]}}
+        else:
+            lattice = lattice_to_dict(L)
+        R = random_representation(L, seed)
+        ranks = list(derive_pref_from_rep(R).ranks)
+        if order == "random":
+            ranks = list(random_weak_order(L.n, random.Random(seed)))
+        elif order == "dup":
+            R_min = minimal_representation(L, WeakOrder(tuple(ranks)))
+            R = duplicate_outcome(R_min, seed % R_min.outcome_count)
+        yield f"{fmt}-{source}-n{L.n}-{order}", lattice, ranks, representation_to_dict(R)
+
+
+def pipeline_reports(tmp_path) -> bytes:
+    """Exit code and report of `lattimin axioms`, `dualize`, `represent` and
+    `factor` on every pipeline case, as one JSON document; a refused input
+    (exit 2) has a null report."""
+    out = []
+    for name, lattice, ranks, rep in pipeline_inputs():
+        files = {}
+        for key, doc in (("lattice", lattice), ("pref", {"ranks": ranks}), ("rep", rep)):
+            files[key] = tmp_path / f"{name}.{key}.json"
+            files[key].write_text(json.dumps(doc))
+        case = {"case": name, "exit": {}}
+        for verb in ("axioms", "dualize", "represent", "factor"):
+            report = tmp_path / f"{name}.{verb}.out.json"
+            argv = [verb, "--lattice", str(files["lattice"]), "--pref", str(files["pref"])]
+            if verb == "factor":
+                argv += ["--rep", str(files["rep"])]
+            code = main(argv + ["--out", str(report)])
+            case["exit"][verb] = code
+            case[verb] = json.loads(report.read_text()) if code != 2 else None
+        out.append(case)
+    return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; parse results do not carry
+    from one call into the next."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_out_does_not_carry_into_next_call(self, chain3_file, tmp_path, capsys):
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--lattice", chain3_file, "--out", str(out)]) == 0
+        first = out.read_bytes()
+        assert capsys.readouterr().out == ""
+        main(["spectrum", "--lattice", chain3_file])
+        assert capsys.readouterr().out.encode() == first
+        assert out.read_bytes() == first
+
+    def test_defaults_do_not_carry_into_next_call(self, tmp_path, capsys):
+        assert main(["fuzz", "--seed", "3", "--trials", "1", "--max-size", "2"]) == 0
+        capsys.readouterr()
+        code, report = run(["fuzz", "--trials", "1"], capsys)
+        assert code == 0 and (report["seed"], report["max_size"]) == (0, 4)
+
+    def test_bad_argument_after_good_call_exits_2(self, chain3_file, capsys):
+        assert main(["spectrum", "--lattice", chain3_file]) == 0
+        capsys.readouterr()
+        for argv in (["spectrum", "--lattice", chain3_file, "--bogus"], ["spectrum"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert run(["spectrum", "--lattice", chain3_file], capsys)[0] == 0
 
 
 class TestPosetInput:

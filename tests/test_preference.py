@@ -27,7 +27,16 @@ from lattimin.preference import (
     dense_ranks,
     trivializer_set,
 )
-from lattimin.testkit import enumerate_weak_orders, literal_dominance
+from lattimin.testkit import (
+    axiom3_by_loop,
+    derived_weak_order,
+    enumerate_weak_orders,
+    literal_dominance,
+    random_distributive_lattice,
+    random_weak_order,
+)
+
+from conftest import random_tables
 
 
 class TestAxiom1:
@@ -96,6 +105,31 @@ class TestAxiom3:
             W = WeakOrder(ranks)
             if axioms12_hold(B2, W):
                 assert check_axiom3(B2, W) == []
+
+
+    def test_matches_loop_oracle(self):
+        rng = random.Random(3)
+        sizes = []
+        for seed in range(600):
+            if seed % 3 == 0:
+                L = random_tables(seed)
+                W = WeakOrder(random_weak_order(L.n, rng))
+            else:
+                L = random_distributive_lattice(5, seed)
+                if seed % 3 == 1:
+                    W = derived_weak_order(L, seed)
+                else:
+                    W = WeakOrder(random_weak_order(L.n, rng))
+            fast = check_axiom3(L, W)
+            assert fast == axiom3_by_loop(L, W), seed
+            sizes.append(len(fast))
+        assert sizes.count(0) >= 100 and sum(k >= 3 for k in sizes) >= 50
+
+    def test_matches_loop_oracle_on_128_elements(self):
+        L = downset_lattice(Poset(8, ((0, 1), (1, 2))))
+        W = derived_weak_order(L, 208)
+        fast = check_axiom3(L, W)
+        assert len(fast) == 256 and fast == axiom3_by_loop(L, W)
 
 
 class TestStrictUpperContour:

@@ -6,8 +6,11 @@ from lattimin import (
     AxiomViolation,
     Congruence,
     IncompatiblePartition,
+    Lattice,
+    LawViolation,
     LatticeHom,
     NotAnIdeal,
+    NotARepresentation,
     Refutation,
     Representation,
     WeakOrder,
@@ -23,6 +26,9 @@ from lattimin import (
     verify_representation,
 )
 from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
+from lattimin.lattice import Poset, downset_lattice
+from lattimin.preference import zero_class
+from lattimin.spectrum import classify_subset
 from lattimin.representation import (
     check_representation_hom,
     congruence_from_classes,
@@ -30,12 +36,16 @@ from lattimin.representation import (
 )
 from lattimin.testkit import (
     congruence_by_loop,
+    derived_weak_order,
     duplicate_outcome,
+    kernel_split_by_loop,
+    quotient_by_loop,
     random_distributive_lattice,
     random_representation,
+    trivializer_classes_by_loop,
 )
 
-from conftest import same_tables
+from conftest import random_tables, same_tables
 
 
 class TestBetaPrime:
@@ -90,6 +100,48 @@ class TestBetaDoublePrime:
                 assert C.members(C.cls(L.bottom)) == I
 
 
+    def test_classes_match_loop_oracle(self):
+        P8 = downset_lattice(Poset(8, ((0, 1), (1, 2))))  # 128 elements
+        cases = [(P8, zero_class(P8, derived_weak_order(P8, seed)).members)
+                 for seed in (200, 208)]
+        for seed in range(60):
+            L = random_distributive_lattice(5, seed)
+            cases += [(L, L.downset(m)) for m in L.elements()]
+            cases.append((L, zero_class(L, derived_weak_order(L, seed)).members))
+        counts = set()
+        for L, I in cases:
+            C = congruence_beta_dprime(L, I)
+            assert C.classes == trivializer_classes_by_loop(L, I)
+            counts.add(C.num_classes)
+        assert len(counts) >= 4
+
+
+    def test_law_broken_tables_match_loop_oracle(self):
+        """On tables with overwritten entries, the principal down-sets that
+        are still ideals give the same classes, or the same incompatible
+        cell, as the loop keys."""
+        outcomes = set()
+        for seed in range(1, 400, 2):
+            L = random_tables(seed)
+            for m in L.elements():
+                I = L.downset(m)
+                if not classify_subset(L, I).is_ideal:
+                    continue
+                try:
+                    fast = congruence_beta_dprime(L, I).classes
+                except IncompatiblePartition as e:
+                    with pytest.raises(IncompatiblePartition) as slow:
+                        congruence_by_loop(L, trivializer_classes_by_loop(L, I))
+                    assert slow.value.witness == e.witness
+                    outcomes.add(e.op)
+                except NotAnIdeal:
+                    outcomes.add("bottom class")
+                else:
+                    assert fast == trivializer_classes_by_loop(L, I)
+                    outcomes.add("congruence")
+        assert {"congruence", "meet", "join"} <= outcomes
+
+
 class TestQuotient:
     def test_identity_congruence(self):
         Q, h = quotient(CHAIN3, Congruence((0, 1, 2)))
@@ -130,6 +182,36 @@ class TestQuotient:
             assert fast == outcome(congruence_by_loop, L, classes), seed
             outcomes.add(fast[0] if isinstance(fast, tuple) else "congruence")
         assert outcomes == {"meet", "join", "congruence"}
+
+    def test_tables_and_labels_match_loop_oracle(self):
+        for seed in range(60):
+            L = random_distributive_lattice(5, seed)
+            unlabeled = Lattice(L.meet, L.join, L.bottom, L.top)
+            for m in L.elements():
+                I = L.downset(m)
+                for C in (congruence_beta_prime(L, I), congruence_beta_dprime(L, I)):
+                    for K in (L, unlabeled):
+                        Q, h = quotient(K, C)
+                        meet, join, labels = quotient_by_loop(K, C)
+                        assert Q.meet.tolist() == meet and Q.join.tolist() == join
+                        assert Q.labels == labels and h.mapping == C.classes
+
+    def test_law_broken_tables_match_loop_oracle(self):
+        """Quotients of tables with overwritten entries that are lawful
+        again."""
+        compared = 0
+        for seed in range(1, 400, 2):
+            L = random_tables(seed)
+            for m in L.elements():
+                try:
+                    C = congruence_from_classes(L, [int(L.join[a, m]) for a in L.elements()])
+                    Q, _ = quotient(L, C)
+                except (IncompatiblePartition, LawViolation):
+                    continue
+                meet, join, _ = quotient_by_loop(L, C)
+                assert Q.meet.tolist() == meet and Q.join.tolist() == join
+                compared += 1
+        assert compared >= 100
 
     def test_kernel_of_projection_is_congruence(self):
         C = Congruence((0, 0, 1))
@@ -243,6 +325,40 @@ class TestFactorCheck:
         result = factor_check(CHAIN3, W, R_coarse, R_fine)
         assert isinstance(result, Refutation)
         assert result.witness == (1, 2)
+
+
+    def test_non_hom_rejected(self):
+        # swapping the images of 1/2 and 1 breaks meet and join
+        R_bad = Representation(2, (frozenset(), {0, 1}, {1}), (0, 1))
+        R_min = minimal_representation(CHAIN3, W3)
+        for pair in ((R_bad, R_min), (R_min, R_bad)):
+            with pytest.raises(NotARepresentation, match="not a bounded-lattice hom"):
+                factor_check(CHAIN3, W3, *pair)
+
+    def test_representation_of_another_order_rejected(self):
+        R_min = minimal_representation(CHAIN3, W3)
+        R_rev = Representation(2, R_min.sigma_map, tuple(reversed(R_min.outcome_ranks)))
+        assert check_representation_hom(CHAIN3, R_rev)
+        for pair in ((R_rev, R_min), (R_min, R_rev)):
+            with pytest.raises(NotARepresentation, match="does not reproduce W"):
+                factor_check(CHAIN3, W3, *pair)
+
+    def test_refutation_witness_matches_loop_oracle(self):
+        """Both argument orders of a random representation and the minimal
+        one: the minimal one merges the most, so the swapped order refutes."""
+        P8 = downset_lattice(Poset(8, ((0, 1), (1, 2))))  # 128 elements
+        cases = [(P8, 208)] + [(random_distributive_lattice(5, s), s) for s in range(150)]
+        witnesses = []
+        for L, seed in cases:
+            R = random_representation(L, seed)
+            W = derive_pref_from_rep(R)
+            R_min = minimal_representation(L, W)
+            for R_other, R_to in ((R, R_min), (R_min, R)):
+                result = factor_check(L, W, R_other, R_to)
+                witness = result.witness if isinstance(result, Refutation) else None
+                assert witness == kernel_split_by_loop(R_other, R_to), seed
+                witnesses.append(witness)
+        assert witnesses.count(None) >= 100 and len(set(witnesses)) >= 10
 
 
 class TestDerivedOrderAxioms:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lattimin import (
@@ -12,7 +14,9 @@ from lattimin import (
 )
 from lattimin import duality_equivalence_report, lattice as lattice_module
 from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3
-from lattimin.testkit import random_distributive_lattice
+from lattimin.lattice import Poset, downset_lattice
+from lattimin.spectrum import SpectralSpace, is_powerset_hom
+from lattimin.testkit import powerset_hom_by_loop, random_distributive_lattice
 
 from conftest import random_tables
 
@@ -141,6 +145,114 @@ class TestSigmaIsomorphism:
         for seed in range(100):
             L = random_distributive_lattice(5, seed)
             assert check_sigma_isomorphism(enumerate_prime_filters(L))
+
+    def test_non_injective_sigma_rejected(self):
+        # one point of CHAIN3: sigma sends 0 and 1/2 to the empty set, a hom
+        # onto the powerset of one point that is not injective
+        S = SpectralSpace(CHAIN3, (frozenset({2}),))
+        assert is_powerset_hom(CHAIN3, S.sigma_table, 1)
+        assert not check_sigma_isomorphism(S)
+
+
+class TestIsPowersetHom:
+    """is_powerset_hom's packed-bit evaluation against the pairwise loop."""
+
+    SIGMA_B2 = enumerate_prime_filters(B2).sigma_table
+
+    @staticmethod
+    def meets_ok(L, images):
+        return all(images[int(L.meet[a, b])] == images[a] & images[b]
+                   for a in L.elements() for b in L.elements())
+
+    @staticmethod
+    def joins_ok(L, images):
+        return all(images[int(L.join[a, b])] == images[a] | images[b]
+                   for a in L.elements() for b in L.elements())
+
+    def verdict(self, L, images, size):
+        fast = is_powerset_hom(L, images, size)
+        assert fast == powerset_hom_by_loop(L, images, size)
+        return fast
+
+    def test_sigma_accepted(self):
+        assert self.verdict(B2, self.SIGMA_B2, 2)
+
+    def test_broken_bottom_rejected(self):
+        images = ({0},) + self.SIGMA_B2[1:]
+        assert not self.verdict(B2, tuple(map(frozenset, images)), 2)
+        # on CHAIN2 the constant map to {0} keeps every meet and join
+        constant = (frozenset({0}),) * 2
+        assert self.meets_ok(CHAIN2, constant) and self.joins_ok(CHAIN2, constant)
+        assert not self.verdict(CHAIN2, constant, 1)
+
+    def test_broken_top_rejected(self):
+        images = self.SIGMA_B2[:3] + (frozenset({0}),)
+        assert not self.verdict(B2, images, 2)
+        assert not self.verdict(B2, self.SIGMA_B2, 3)
+
+    def test_broken_meet_alone_rejected(self):
+        images = tuple(map(frozenset, ((), (0, 1), (1, 2), (0, 1, 2))))
+        assert self.joins_ok(B2, images) and not self.meets_ok(B2, images)
+        assert not self.verdict(B2, images, 3)
+
+    def test_broken_join_alone_rejected(self):
+        images = tuple(map(frozenset, ((), (0,), (1,), (0, 1, 2))))
+        assert self.meets_ok(B2, images) and not self.joins_ok(B2, images)
+        assert not self.verdict(B2, images, 3)
+
+    def test_wrong_length_rejected(self):
+        assert not self.verdict(B2, self.SIGMA_B2[:-1], 2)
+        assert not self.verdict(B2, self.SIGMA_B2 + (frozenset(),), 2)
+
+    def test_member_outside_the_powerset_rejected(self):
+        images = self.SIGMA_B2[:1] + (self.SIGMA_B2[1] | {5},) + self.SIGMA_B2[2:]
+        assert not self.verdict(B2, images, 2)
+
+    @staticmethod
+    def candidate_images(L, rng):
+        """Images a -> {i : S[i] <= a} for S the join-irreducibles (a hom on
+        lawful tables), all non-bottom elements (meets kept, joins broken
+        off chains) or a random sample; bottom and top get the empty and
+        the full set, so the pairwise comparison runs."""
+        pick = rng.randrange(3)
+        if pick == 0:
+            S = sorted(join_irreducibles(L))
+        elif pick == 1:
+            S = [s for s in L.elements() if s != L.bottom]
+        else:
+            S = rng.sample(range(L.n), rng.randint(0, L.n))
+        images = [frozenset(i for i, x in enumerate(S) if L.meet[x, a] == x)
+                  for a in L.elements()]
+        images[L.bottom], images[L.top] = frozenset(), frozenset(range(len(S)))
+        return images, len(S)
+
+    def test_matches_loop_oracle(self):
+        rng = random.Random(11)
+        seen = {"hom": 0, "meet": 0, "join": 0}
+        for seed in range(600):
+            L = random_tables(seed) if seed % 2 else random_distributive_lattice(5, seed)
+            images, size = self.candidate_images(L, rng)
+            if self.verdict(L, images, size):
+                seen["hom"] += 1
+            elif self.meets_ok(L, images):
+                seen["join"] += 1
+            elif self.joins_ok(L, images):
+                seen["meet"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_matches_loop_oracle_over_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(lattice_module, "BLOCK_ELEMENTS", 50)
+        rng = random.Random(12)
+        verdicts = set()
+        for seed in range(200):
+            L = random_distributive_lattice(5, seed)
+            verdicts.add(self.verdict(L, *self.candidate_images(L, rng)))
+        assert verdicts == {True, False}
+
+    def test_sigma_of_two_block_lattice(self):
+        L = downset_lattice(Poset(7))  # 128 elements: two row blocks
+        assert len(lattice_module._row_blocks(L.n)) == 2
+        assert check_sigma_isomorphism(enumerate_prime_filters(L))
 
 
 class TestFiniteTopology:
