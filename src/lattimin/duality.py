@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptySigma
 from .lattice import Lattice, membership
 from .preference import (
     WeakOrder,
@@ -44,9 +43,6 @@ def dual_backward(L: Lattice, S: SpectralSpace, V: WeakOrder) -> dict:
     """Dense ranks over the lattice minus bottom induced by a point order:
     each element ranks by the worst point of sigma(a)."""
     nz = nonzero_elements(L)
-    for a in nz:
-        if not S.sigma(a):
-            raise EmptySigma(a)
     worst = checked_worst_ranks([S.sigma(a) for a in nz], V.ranks)
     return dict(zip(nz, dense_ranks(worst)))
 

@@ -53,15 +53,6 @@ class AxiomsNotSatisfied(LattiminError):
     """Caller asserted Axioms 1-2 but a scan refuted them."""
 
 
-class EmptySigma(LattiminError):
-    """sigma(a) was empty for a non-bottom element (defensive; cannot happen
-    for a distributive lattice)."""
-
-    def __init__(self, element):
-        self.element = element
-        super().__init__(f"sigma({element}) is empty")
-
-
 class NotARepresentation(LattiminError):
     """An alleged representation fails the homomorphism or faithfulness check."""
 

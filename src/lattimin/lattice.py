@@ -136,34 +136,45 @@ class Lattice:
         return self.meet == np.arange(self.n)[:, None]
 
     @cached_property
-    def prime_upsets(self) -> np.ndarray:
-        """prime_upsets[m] iff the principal up-set of m is a prime filter.
+    def birkhoff(self) -> Optional[np.ndarray]:
+        """J(L) as ascending indices iff every law validate_laws checks
+        holds, else None; decided by Birkhoff's representation instead of a
+        scan of all triples.
 
-        Evaluates the conditions of ``classify_subset(L, L.upset(m))``
-        (non-empty, up-closed, meet-closed, proper, prime) for every m at
-        once, on any table, lawful or not.
+        The bound laws are checked directly.  The candidates S are the
+        non-bottom elements that no pair (a, b) gives as a | b outside {a, b},
+        and P[a] = {s in S : s <= a}.  If a -> P[a] is injective and sends
+        meet to intersection and join to union, the tables are isomorphic to
+        a sublattice of the powerset of S, where every law holds: the
+        certificate is sound for any S and any table.  On a distributive
+        lattice S is J(L), and by Birkhoff's theorem the map is such an
+        embedding, so every lawful table is accepted.  The products run over
+        the scan's row blocks; with fewer than n candidates, a block of P[M]
+        has fewer bytes than its n-by-n planes have entries.
         """
-        U, M, J = self.leq_table, self.meet, self.join
-        n = self.n
-        out = np.empty(n, dtype=bool)
-        for s in _row_blocks(n):
-            u = U[s]
-            up_closed = ~((u @ U) & ~u).any(1)
-            meet_closed = ~(u[:, :, None] & u[:, None, :] & ~u[:, M]).any((1, 2))
-            prime = ~(u[:, J] & ~u[:, :, None] & ~u[:, None, :]).any((1, 2))
-            out[s] = u.any(1) & ~u.all(1) & up_closed & meet_closed & prime
-        out.setflags(write=False)  # shared by every caller
-        return out
+        M, J, n = self.meet, self.join, self.n
+        if (M[self.bottom] != self.bottom).any() or (J[self.top] != self.top).any():
+            return None
+        idx = np.arange(n)
+        joined = np.zeros(n, dtype=bool)  # c == a | b with c not in {a, b}
+        joined[J[(J != idx[:, None]) & (J != idx[None, :])]] = True
+        S = np.flatnonzero(~joined & (idx != self.bottom))
+        P = np.ascontiguousarray(np.packbits(M[S] == S[:, None], axis=0).T)
+        if len({row.tobytes() for row in P}) < n:
+            return None
+        if not _is_set_hom(self, P):
+            return None
+        S.setflags(write=False)  # shared by every caller
+        return S
 
     @cached_property
     def spectrum(self):
-        """The prime filters as a SpectralSpace, computed once per lattice;
-        ``spectrum.enumerate_prime_filters`` returns it."""
+        """The prime filters ↑j, j in J(L), as a SpectralSpace, computed once
+        per lattice; ``spectrum.enumerate_prime_filters`` returns it.
+        LawViolation if the tables are not a distributive lattice."""
         from .spectrum import SpectralSpace, point_mask  # spectrum imports this module
 
-        points = sorted(
-            (self.upset(m) for m in np.flatnonzero(self.prime_upsets)), key=point_mask
-        )
+        points = sorted((self.upset(j) for j in _certify(self)), key=point_mask)
         return SpectralSpace(self, tuple(points))
 
     def leq(self, a: int, b: int) -> bool:
@@ -194,41 +205,20 @@ def validate_laws(L: Lattice) -> list[LawIssue]:
     """All lattice-law violations of L, each with its lexicographically
     first witness; empty iff L is a bounded distributive lattice.
 
-    Violations are data, not errors.  _embeds_in_powerset accepts exactly
-    the lawful tables in O(n^2 |J|) time; only a table it rejects goes
-    through _scan_laws, the O(n^3) scan that finds the witnesses.
+    Violations are data, not errors.  The certificate ``L.birkhoff`` accepts
+    exactly the lawful tables in O(n^2 |J|) time; only a table it rejects
+    goes through _scan_laws, the O(n^3) scan that finds the witnesses.
     """
-    if _embeds_in_powerset(L):
-        return []
-    return _scan_laws(L)
+    return [] if L.birkhoff is not None else _scan_laws(L)
 
 
-def _embeds_in_powerset(L: Lattice) -> bool:
-    """True iff every law validate_laws checks holds, decided by Birkhoff's
-    representation instead of a scan of all triples.
-
-    The bound laws are checked directly.  The candidates S are the
-    non-bottom elements that no pair (a, b) gives as a | b outside {a, b},
-    and P[a] = {s in S : s <= a}.  If a -> P[a] is injective and sends meet
-    to intersection and join to union, the tables are isomorphic to a
-    sublattice of the powerset of S, where every law holds: the certificate
-    is sound for any S and any table.  On a distributive lattice S is J(L),
-    and by Birkhoff's theorem the map is such an embedding, so every lawful
-    table is accepted.  The products run over the scan's row blocks; with
-    fewer than n candidates, a block of P[M] has fewer bytes than its
-    n-by-n planes have entries.
-    """
-    M, J, n = L.meet, L.join, L.n
-    if (M[L.bottom] != L.bottom).any() or (J[L.top] != L.top).any():
-        return False
-    idx = np.arange(n)
-    joined = np.zeros(n, dtype=bool)  # c == a | b with c not in {a, b}
-    joined[J[(J != idx[:, None]) & (J != idx[None, :])]] = True
-    S = np.flatnonzero(~joined & (idx != L.bottom))
-    P = np.ascontiguousarray(np.packbits(M[S] == S[:, None], axis=0).T)
-    if len({row.tobytes() for row in P}) < n:
-        return False
-    return _is_set_hom(L, P)
+def _certify(L: Lattice) -> np.ndarray:
+    """J(L) of a lawful L; LawViolation naming the first broken law and its
+    witness otherwise."""
+    issues = validate_laws(L)
+    if issues:
+        raise LawViolation(issues[0].law, issues[0].witness, issues)
+    return L.birkhoff
 
 
 def _is_set_hom(L: Lattice, P: np.ndarray) -> bool:
@@ -286,9 +276,7 @@ def build_lattice(meet_table, join_table, bottom, top, labels=None) -> Lattice:
     Raises LawViolation naming the first broken law and its witness.
     """
     L = Lattice(meet_table, join_table, bottom, top, labels)
-    issues = validate_laws(L)
-    if issues:
-        raise LawViolation(issues[0].law, issues[0].witness, issues)
+    _certify(L)
     return L
 
 
@@ -358,12 +346,8 @@ def mask_family_lattice(masks, label=None) -> tuple[Lattice, dict]:
 
 def relative_complements(L: Lattice, a: int, a_prime: int) -> tuple[int, ...]:
     """All c with a | c == a | a' and a & c == bottom, ascending by index."""
-    target = int(L.join[a, a_prime])
-    return tuple(
-        c
-        for c in range(L.n)
-        if int(L.join[a, c]) == target and int(L.meet[a, c]) == L.bottom
-    )
+    hits = (L.join[a] == L.join[a, a_prime]) & (L.meet[a] == L.bottom)
+    return tuple(int(c) for c in np.flatnonzero(hits))
 
 
 def relative_complement(L: Lattice, a: int, a_prime: int) -> Optional[int]:
@@ -385,13 +369,7 @@ def relative_complement(L: Lattice, a: int, a_prime: int) -> Optional[int]:
 
 def is_boolean(L: Lattice) -> bool:
     """True iff every element has a (global) complement."""
-    return all(
-        any(
-            int(L.meet[a, c]) == L.bottom and int(L.join[a, c]) == L.top
-            for c in range(L.n)
-        )
-        for a in range(L.n)
-    )
+    return bool(((L.meet == L.bottom) & (L.join == L.top)).any(1).all())
 
 
 @dataclass(frozen=True, eq=False)

@@ -89,9 +89,10 @@ class SpectralSpace:
 def enumerate_prime_filters(L: Lattice) -> SpectralSpace:
     """All prime filters, sorted by bitset value for determinism.
 
-    Every filter of a finite lattice is the up-set of its minimum, so it
-    suffices to classify principal up-sets (``Lattice.prime_upsets``).  The
-    result is computed once per lattice and shared (``Lattice.spectrum``).
+    By Birkhoff's theorem the prime filters of a finite distributive lattice
+    are the up-sets of its join-irreducibles, which the law certificate
+    (``Lattice.birkhoff``) finds.  The result is computed once per lattice
+    and shared (``Lattice.spectrum``); LawViolation if L is not lawful.
     """
     return L.spectrum
 

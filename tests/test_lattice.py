@@ -15,6 +15,7 @@ from lattimin import (
     check_hom,
     downset_lattice,
     is_boolean,
+    join_irreducibles,
     lattice_from_order,
     relative_complement,
     relative_complements,
@@ -25,7 +26,6 @@ from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, chain
 from lattimin.lattice import (
     BLOCK_ELEMENTS,
     Lattice,
-    _embeds_in_powerset,
     _scan_laws,
     compose,
 )
@@ -135,19 +135,24 @@ class TestBirkhoffCertificate:
 
     @staticmethod
     def verdicts(L):
-        return _embeds_in_powerset(L), _scan_laws(L) == []
+        return L.birkhoff is not None, _scan_laws(L) == []
 
     def test_fixtures_and_random_downset_lattices(self):
         for L in self.LAWFUL:
             assert self.verdicts(L) == (True, True)
+            assert set(L.birkhoff) == join_irreducibles(L)
+            assert list(L.birkhoff) == sorted(L.birkhoff)
         for L in [M3, N5]:
             assert self.verdicts(L) == (False, False)
 
     def test_law_broken_tables(self):
         seen = set()
         for seed in range(600):
-            certified, lawful = self.verdicts(random_tables(seed))
+            L = random_tables(seed)
+            certified, lawful = self.verdicts(L)
             assert certified == lawful, seed
+            if certified:
+                assert set(L.birkhoff) == join_irreducibles(L), seed
             seen.add(certified)
         assert seen == {True, False}
 
@@ -155,8 +160,11 @@ class TestBirkhoffCertificate:
         for entries in itertools.product(range(2), repeat=10):
             meet = np.reshape(entries[:4], (2, 2))
             join = np.reshape(entries[4:8], (2, 2))
-            certified, lawful = self.verdicts(Lattice(meet, join, *entries[8:]))
+            L = Lattice(meet, join, *entries[8:])
+            certified, lawful = self.verdicts(L)
             assert certified == lawful, entries
+            if certified:
+                assert set(L.birkhoff) == join_irreducibles(L), entries
 
     def test_only_a_bound_broken(self):
         for L in self.LAWFUL:
@@ -166,7 +174,7 @@ class TestBirkhoffCertificate:
                     if (T.bottom, T.top) == (L.bottom, L.top):
                         continue
                     assert [i.law for i in _scan_laws(T)] == [law]
-                    assert not _embeds_in_powerset(T)
+                    assert T.birkhoff is None
 
     def test_scan_runs_only_on_broken_input(self, monkeypatch):
         scanned = []
@@ -203,12 +211,36 @@ class TestRelativeComplement:
         # c | bottom == bottom, i.e. only bottom itself
         assert relative_complements(B2, B2.bottom, B2.bottom) == (B2.bottom,)
 
+    def test_random_tables_match_loop(self):
+        for seed in range(600):
+            L = random_tables(seed)
+            for a, a_prime in itertools.product(L.elements(), repeat=2):
+                loop = tuple(
+                    c for c in L.elements()
+                    if L.join[a, c] == L.join[a, a_prime] and L.meet[a, c] == L.bottom
+                )
+                assert relative_complements(L, a, a_prime) == loop, (seed, a, a_prime)
+
 
 class TestIsBoolean:
     def test_examples(self):
         assert is_boolean(B2)
         assert not is_boolean(CHAIN3)
         assert is_boolean(CHAIN2)
+
+    def test_complemented_non_distributive(self):
+        # every element of M3 and N5 has a complement, so both count
+        assert is_boolean(M3) and is_boolean(N5)
+
+    def test_random_tables_match_loop(self):
+        for seed in range(600):
+            L = random_tables(seed)
+            loop = all(
+                any(L.meet[a, c] == L.bottom and L.join[a, c] == L.top
+                    for c in L.elements())
+                for a in L.elements()
+            )
+            assert is_boolean(L) is loop, seed
 
 
 class TestCheckHom:

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from lattimin import (
-    Lattice,
+    LawViolation,
+    build_lattice,
     check_sigma_isomorphism,
     classify_subset,
     enumerate_prime_filters,
@@ -11,6 +12,7 @@ from lattimin import (
     is_boolean,
     join_irreducibles,
     prime_filters_bruteforce,
+    validate_laws,
 )
 from lattimin import duality_equivalence_report, lattice as lattice_module
 from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3
@@ -68,34 +70,43 @@ class TestEnumeratePrimeFilters:
 
 
 class TestPrimeUpsets:
-    """Lattice.prime_upsets against the per-subset classification."""
+    """The prime principal up-sets, Lattice.spectrum (the up-sets of the
+    certificate's J(L)), against the 2^n subset scan; a table that is not
+    lawful is refused with the first issue of validate_laws."""
 
     @staticmethod
-    def per_subset(L):
-        return [classify_subset(L, L.upset(m)).prime_filter for m in L.elements()]
+    def check(L):
+        issues = validate_laws(L)
+        if not issues:
+            assert list(L.spectrum.points) == prime_filters_bruteforce(L)
+            return True
+        with pytest.raises(LawViolation) as ei:
+            L.spectrum
+        assert (ei.value.law, ei.value.witness) == (issues[0].law, issues[0].witness)
+        assert ei.value.issues == issues
+        return False
 
     @pytest.mark.parametrize(
         "L", FIXTURES + [M3, N5], ids=FIXTURE_IDS + ["m3", "n5"]
     )
     def test_fixtures(self, L):
-        assert list(L.prime_upsets) == self.per_subset(L)
+        assert self.check(L) == (L not in (M3, N5))
 
     def test_law_broken_tables(self):
-        for seed in range(600):
-            L = random_tables(seed)
-            assert list(L.prime_upsets) == self.per_subset(L), seed
+        seen = {self.check(random_tables(seed)) for seed in range(600)}
+        assert seen == {True, False}
 
     def test_spectrum_computed_once_per_lattice(self, monkeypatch):
         calls = []
-        row_blocks = lattice_module._row_blocks
+        is_set_hom = lattice_module._is_set_hom
         monkeypatch.setattr(
-            lattice_module, "_row_blocks", lambda n: calls.append(n) or row_blocks(n)
+            lattice_module, "_is_set_hom", lambda L, P: calls.append(L) or is_set_hom(L, P)
         )
-        L = Lattice(CHAIN3.meet.copy(), CHAIN3.join.copy(), CHAIN3.bottom, CHAIN3.top)
+        L = build_lattice(CHAIN3.meet, CHAIN3.join, CHAIN3.bottom, CHAIN3.top)
         S = enumerate_prime_filters(L)
         assert enumerate_prime_filters(L) is S
         duality_equivalence_report(L, W3)
-        assert calls == [L.n]
+        assert calls == [L]
 
 
 class TestSigma:
