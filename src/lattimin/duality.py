@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import Lattice, membership
+from .lattice import Lattice
 from .preference import (
     WeakOrder,
     axioms12_hold,
@@ -35,7 +35,7 @@ def dual_forward(L: Lattice, S: SpectralSpace, W: WeakOrder) -> WeakOrder:
     member under -W, so the checked worst-rank evaluator serves both
     directions.
     """
-    worst = checked_worst_ranks(S.points, [-r for r in W.ranks])
+    worst = checked_worst_ranks(S.member, [-r for r in W.ranks])
     return WeakOrder(dense_ranks(-w for w in worst))
 
 
@@ -43,7 +43,7 @@ def dual_backward(L: Lattice, S: SpectralSpace, V: WeakOrder) -> dict:
     """Dense ranks over the lattice minus bottom induced by a point order:
     each element ranks by the worst point of sigma(a)."""
     nz = nonzero_elements(L)
-    worst = checked_worst_ranks([S.sigma(a) for a in nz], V.ranks)
+    worst = checked_worst_ranks(S.member.T[nz], V.ranks)
     return dict(zip(nz, dense_ranks(worst)))
 
 
@@ -107,7 +107,7 @@ def duality_equivalence_report(L: Lattice, W: WeakOrder) -> DualityEquivalenceRe
     ax = axioms12_hold(L, W, domain=nz)
     cert = roundtrip_check(L, W)
     r = np.asarray(W.ranks)
-    P = membership(cert.spectrum.points, L.n)
+    P = cert.spectrum.member
     best = np.where(P, r, r.max()).min(1)  # points are non-empty
     witness = (r[:, None] <= best[None, :]) @ P  # witness[a, b]: filter_witness found
     wit = bool((witness == (r[:, None] <= r[None, :]))[np.ix_(nz, nz)].all())

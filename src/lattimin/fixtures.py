@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .lattice import Lattice, Poset, build_lattice, downset_lattice, lattice_from_order
 from .preference import WeakOrder
 
@@ -27,25 +25,16 @@ B3 = downset_lattice(Poset(3))
 B2_BOT, B2_A, B2_B, B2_TOP = 0, 1, 2, 3
 
 
-def _order_matrix(n, strict_pairs):
-    rel = np.eye(n, dtype=bool)
-    for a, b in strict_pairs:
-        rel[a, b] = True
-    for _ in range(n):
-        rel = rel | (rel @ rel)
-    return rel
-
-
 # Three-atom diamond: modular but not distributive.  0 < a,b,c < 1.
 M3 = lattice_from_order(
-    _order_matrix(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    Poset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]).leq,
     labels=("0", "a", "b", "c", "1"),
     validate=False,
 )
 
 # Pentagon: not modular.  0 < a < c < 1 and 0 < b < 1.
 N5 = lattice_from_order(
-    _order_matrix(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]),
+    Poset(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]).leq,
     labels=("0", "a", "c", "b", "1"),
     validate=False,
 )

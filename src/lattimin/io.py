@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .errors import LattiminError
 from .lattice import Lattice, Poset, build_lattice, downset_lattice
 from .preference import WeakOrder
@@ -103,7 +105,7 @@ def load_preference(path, L: Lattice) -> WeakOrder:
 def representation_to_dict(R: Representation) -> dict:
     return {
         "outcomes": R.outcome_count,
-        "sigma": {str(a): sorted(s) for a, s in enumerate(R.sigma_map)},
+        "sigma": {str(a): np.flatnonzero(row).tolist() for a, row in enumerate(R.sigma)},
         "outcome_ranks": list(R.outcome_ranks),
     }
 
@@ -113,17 +115,15 @@ def load_representation(path, L: Lattice) -> Representation:
     try:
         count = _ints(d["outcomes"], "outcomes")
         sigma = d["sigma"]
-        sigma_map = tuple(
-            frozenset(_ints(sigma[str(a)], "sigma", 1)) for a in range(L.n)
-        )
+        sets = [_ints(sigma[str(a)], "sigma", 1) for a in range(L.n)]
         ranks = _ints(d["outcome_ranks"], "outcome_ranks", 1)
-        return Representation(count, sigma_map, ranks)
+        return Representation(count, sets, ranks)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad representation file: {e}") from e
 
 
 def spectrum_to_dict(S: SpectralSpace) -> dict:
     return {
-        "points": [sorted(F) for F in S.points],
-        "sigma": {str(a): sorted(S.sigma(a)) for a in range(S.lattice.n)},
+        "points": [np.flatnonzero(row).tolist() for row in S.member],
+        "sigma": {str(a): np.flatnonzero(col).tolist() for a, col in enumerate(S.member.T)},
     }

@@ -6,6 +6,7 @@ The canonical order is ``a <= b`` iff ``meet[a][b] == a``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -16,6 +17,9 @@ from .errors import LawViolation, NotALattice, PosetCyclic, TooLarge
 
 # Entries per block of the O(n^3) table scans: every n up to 101 is one block.
 BLOCK_ELEMENTS = 1 << 20
+# Most elements of a down-set lattice: the down-sets of a 12-element antichain.
+# At 8192 elements its two intp tables alone would take 1 GiB.
+MAX_ELEMENTS = 4096
 
 
 def _freeze(table) -> np.ndarray:
@@ -75,22 +79,12 @@ class Poset:
         """All down-closed subsets as bitmasks, sorted by (size, mask)."""
         if self.n > 16:
             raise TooLarge(f"down-set enumeration capped at 16 elements, got {self.n}")
-        down = [0] * self.n
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.leq[j, i]:
-                    down[i] |= 1 << j
-        masks = []
-        for mask in range(1 << self.n):
-            closed = True
-            for i in range(self.n):
-                if mask >> i & 1 and down[i] & mask != down[i]:
-                    closed = False
-                    break
-            if closed:
-                masks.append(mask)
-        masks.sort(key=_size_then_mask)
-        return masks
+        bit = 1 << np.arange(self.n)
+        down = bit @ self.leq  # down[i]: the points <= i
+        m = np.arange(1 << self.n)[:, None]
+        # m is closed iff no point of m has a point below it outside m
+        closed = ~((m & bit).astype(bool) & ((m & down) != down)).any(1)
+        return sorted(m[closed, 0].tolist(), key=_size_then_mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +166,12 @@ class Lattice:
         """The prime filters ↑j, j in J(L), as a SpectralSpace, computed once
         per lattice; ``spectrum.enumerate_prime_filters`` returns it.
         LawViolation if the tables are not a distributive lattice."""
-        from .spectrum import SpectralSpace, point_mask  # spectrum imports this module
+        from .spectrum import SpectralSpace  # spectrum imports this module
 
-        points = sorted((self.upset(j) for j in _certify(self)), key=point_mask)
-        return SpectralSpace(self, tuple(points))
+        member = self.leq_table[_certify(self)]  # row i: the up-set of J[i]
+        member = member[np.lexsort(member.T)]  # ascending point_mask: last element first
+        member.setflags(write=False)  # shared by every caller
+        return SpectralSpace(member)
 
     def leq(self, a: int, b: int) -> bool:
         """a <= b in the canonical order, i.e. a == a meet b."""
@@ -320,10 +316,13 @@ def downset_lattice(P: Poset) -> Lattice:
     Meet is intersection and join is union, so the result is distributive by
     construction.  build_lattice validates it all the same; for a lawful
     table that costs the O(n^2 |J|) embedding check, not the O(n^3) scan.
+    TooLarge if there are more than MAX_ELEMENTS down-sets.
     """
+    masks = P.downset_masks()
+    if len(masks) > MAX_ELEMENTS:
+        raise TooLarge(f"down-set lattice capped at {MAX_ELEMENTS} elements, got {len(masks)}")
     L, _ = mask_family_lattice(
-        P.downset_masks(),
-        lambda m: "{" + ",".join(str(e) for e in range(P.n) if m >> e & 1) + "}",
+        masks, lambda m: "{" + ",".join(str(e) for e in range(P.n) if m >> e & 1) + "}"
     )
     return L
 
@@ -425,7 +424,18 @@ def row_class_ids(rows: np.ndarray) -> tuple[int, ...]:
 
 
 def membership(sets, size: int) -> np.ndarray:
-    """Boolean matrix M with M[i, x] iff x is in sets[i], x in range(size)."""
+    """Boolean matrix M with M[i, x] iff x is in sets[i]; ValueError if a
+    member is outside range(size)."""
+    sets = [list(s) for s in sets]
+    cols = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
+    if cols.size and not 0 <= cols.min() <= cols.max() < size:
+        raise ValueError(f"set member outside range({size})")
     M = np.zeros((len(sets), size), dtype=bool)
-    M[[i for i, s in enumerate(sets) for _ in s], [x for s in sets for x in s]] = True
+    M[np.repeat(np.arange(len(sets)), [len(s) for s in sets]), cols] = True
     return M
+
+
+def row_sets(M: np.ndarray) -> tuple:
+    """The rows of a boolean matrix as frozensets of column indices; the
+    inverse of membership."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in M)

@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxiomsNotSatisfied, NotAnIdeal
-from .lattice import Lattice, _row_blocks, membership, row_class_ids
-from .spectrum import classify_subset
+from .lattice import Lattice, _row_blocks, row_class_ids
+from .spectrum import ideal_witness
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,25 @@ def first_disagreement(r, s, items) -> Optional[tuple[int, int]]:
     return None
 
 
-def _worst_ranks(sets, ranks) -> list[int]:
-    """Fast path: the worst (highest) member rank of each set.  An empty set
-    scores below every rank, so it is weakly preferred to everything."""
+def _worst_ranks(M, ranks) -> list[int]:
+    """Fast path: the worst (highest) rank among the members of each row of
+    the membership matrix M.  An empty row scores below every rank, so it is
+    weakly preferred to everything."""
     floor = min(ranks, default=0) - 1
-    return [max((ranks[x] for x in s), default=floor) for s in sets]
+    return np.where(M, np.asarray(ranks, dtype=np.int64), floor).max(1, initial=floor).tolist()
 
 
-def checked_worst_ranks(sets, ranks) -> list[int]:
-    """Worst member rank per set, checked against the literal formula.
+def checked_worst_ranks(M, ranks) -> list[int]:
+    """Worst member rank per row of the boolean membership matrix M (M[a, x]
+    iff x is in set a), checked against the literal formula.
 
     Set a is weakly preferred to set b iff every x in a has some y in b with
     ranks[x] <= ranks[y].  That relation is evaluated on its own, by boolean
-    matrix products over the membership matrix M, and must agree with
-    comparing worst ranks; RuntimeError names the first pair where it does not.
+    matrix products over M, and must agree with comparing worst ranks;
+    RuntimeError names the first pair where it does not.
     """
-    worst = _worst_ranks(sets, ranks)
+    worst = _worst_ranks(M, ranks)
     r = np.asarray(ranks)
-    M = membership(sets, len(r))
     some = (r[:, None] <= r[None, :]) @ M.T  # some[x, b]: x matched in b
     rel = ~(M @ ~some)  # rel[a, b]: no member of a unmatched in b
     w = np.asarray(worst)
@@ -159,8 +160,7 @@ def strict_upper_contour(
     members = frozenset(
         c for c in range(L.n) if W.strictly_prefers(c, a)
     ) | {L.bottom}
-    cls = classify_subset(L, members)
-    return ContourReport(members, cls.is_ideal, len(members) < L.n)
+    return ContourReport(members, ideal_witness(L, members) is None, len(members) < L.n)
 
 
 @dataclass(frozen=True)
@@ -174,19 +174,8 @@ def zero_class(L: Lattice, W: WeakOrder) -> ZeroClassReport:
     """The ideal I = {a : a ~ bottom}; NotAnIdeal with a witness if the
     axioms fail and I is not actually an ideal."""
     members = frozenset(a for a in range(L.n) if W.indifferent(a, L.bottom))
-    cls = classify_subset(L, members)
-    if not cls.is_ideal:
-        witness = None
-        for a in sorted(members):
-            for b in range(L.n):
-                if L.leq(b, a) and b not in members:
-                    witness = (a, b, "down-closure")
-                    break
-                if b in members and int(L.join[a, b]) not in members:
-                    witness = (a, b, "join-closure")
-                    break
-            if witness:
-                break
+    witness = ideal_witness(L, members)
+    if witness:
         raise NotAnIdeal("indifference-to-bottom class is not an ideal", witness)
     maximum = L.bottom
     for a in members:

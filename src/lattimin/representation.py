@@ -9,6 +9,7 @@ verifiable representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -25,7 +26,9 @@ from .lattice import (
     build_lattice,
     class_ids,
     mask_family_lattice,
+    membership,
     row_class_ids,
+    row_sets,
 )
 from .preference import (
     WeakOrder,
@@ -37,7 +40,7 @@ from .preference import (
     first_disagreement,
     zero_class,
 )
-from .spectrum import classify_subset, enumerate_prime_filters, is_powerset_hom, point_mask
+from .spectrum import enumerate_prime_filters, ideal_witness, is_powerset_hom, point_mask
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,7 @@ def congruence_from_classes(L: Lattice, classes) -> Congruence:
 
 def _require_ideal(L: Lattice, I) -> frozenset:
     Iset = frozenset(int(x) for x in I)
-    cls = classify_subset(L, Iset)
-    if not cls.is_ideal:
+    if not Iset or ideal_witness(L, Iset):
         raise NotAnIdeal(f"{sorted(Iset)} is not an ideal")
     return Iset
 
@@ -154,32 +156,43 @@ def kernel(h: LatticeHom) -> Congruence:
     return Congruence(class_ids(h.mapping))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
-    """Triple <X, sigma, outcome order>: outcomes 0..outcome_count-1,
-    sigma_map per lattice element, ranks over outcomes."""
+    """Triple <X, sigma, outcome order>: outcomes 0..outcome_count-1, sigma a
+    read-only boolean matrix with sigma[a, x] iff outcome x is in the image
+    of element a, and a rank per outcome.  sigma may be given as such a
+    matrix or as one iterable of outcomes per element; sigma_map is its
+    frozenset view.  Equality compares values."""
 
     outcome_count: int
-    sigma_map: tuple  # frozenset[int] per element
+    sigma: np.ndarray
     outcome_ranks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sigma_map", tuple(frozenset(int(x) for x in s) for s in self.sigma_map)
-        )
-        object.__setattr__(
-            self, "outcome_ranks", tuple(int(r) for r in self.outcome_ranks)
-        )
+        object.__setattr__(self, "outcome_ranks", tuple(int(r) for r in self.outcome_ranks))
         if len(self.outcome_ranks) != self.outcome_count:
             raise ValueError("outcome_ranks length must equal outcome_count")
-        for s in self.sigma_map:
-            if any(not 0 <= x < self.outcome_count for x in s):
-                raise ValueError("sigma_map outcome out of range")
+        if isinstance(self.sigma, np.ndarray):
+            sigma = np.array(self.sigma, dtype=bool)
+            if sigma.shape[1:] != (self.outcome_count,):
+                raise ValueError("sigma matrix must have one column per outcome")
+        else:
+            sigma = membership(self.sigma, self.outcome_count)
+        sigma.setflags(write=False)
+        object.__setattr__(self, "sigma", sigma)
+
+    @cached_property
+    def sigma_map(self) -> tuple:
+        return row_sets(self.sigma)
+
+    def __eq__(self, other):
+        return (isinstance(other, Representation) and self.outcome_ranks == other.outcome_ranks
+                and np.array_equal(self.sigma, other.sigma))
 
 
 def check_representation_hom(L: Lattice, R: Representation) -> bool:
-    """sigma_map must be a bounded-lattice hom into the powerset of X."""
-    return is_powerset_hom(L, R.sigma_map, R.outcome_count)
+    """sigma must be a bounded-lattice hom into the powerset of X."""
+    return is_powerset_hom(L, R.sigma)
 
 
 def derive_pref_from_rep(R: Representation) -> WeakOrder:
@@ -189,7 +202,7 @@ def derive_pref_from_rep(R: Representation) -> WeakOrder:
     The literal quantifier evaluation is checked against the score reduction
     on every call.
     """
-    return WeakOrder(dense_ranks(checked_worst_ranks(R.sigma_map, R.outcome_ranks)))
+    return WeakOrder(dense_ranks(checked_worst_ranks(R.sigma, R.outcome_ranks)))
 
 
 def verify_representation(
@@ -228,8 +241,7 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     WQ = WeakOrder(tuple(W.ranks[reps[c]] for c in range(C.num_classes)))
     S = enumerate_prime_filters(Q)
     fwd = dual_forward(Q, S, WQ)
-    sigma_map = tuple(S.sigma(h.mapping[a]) for a in range(L.n))
-    return Representation(len(S.points), sigma_map, fwd.ranks)
+    return Representation(S.member.shape[0], S.member.T[list(h.mapping)], fwd.ranks)
 
 
 @dataclass(frozen=True)
@@ -256,8 +268,8 @@ def factor_check(
     # split is symmetric with a false diagonal, so its first true entry in
     # row-major order is the first pair a < b with equal R_other images but
     # unequal R_min ones
-    other = np.asarray(class_ids(R_other.sigma_map))
-    least = np.asarray(class_ids(R_min.sigma_map))
+    other = np.asarray(row_class_ids(R_other.sigma))
+    least = np.asarray(row_class_ids(R_min.sigma))
     split = (other[:, None] == other) & (least[:, None] != least)
     if split.any():
         return Refutation(divmod(int(split.argmax()), L.n))

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooLarge
-from .lattice import Lattice, _is_set_hom, membership
+from .lattice import Lattice, _is_set_hom, row_sets
 
 
 def point_mask(points) -> int:
@@ -64,17 +64,19 @@ def classify_subset(L: Lattice, S) -> SubsetClassification:
 
 @dataclass(frozen=True, eq=False)
 class SpectralSpace:
-    """Prime filters of a lattice plus the map sigma, in canonical order."""
+    """Prime filters of a lattice as one read-only boolean matrix: member[i, a]
+    iff point i contains element a, points in canonical (point_mask) order.
+    Column a is sigma(a); the frozensets are views built on first use."""
 
-    lattice: Lattice
-    points: tuple  # of frozenset[int] (lattice element indices)
+    member: np.ndarray
+
+    @cached_property
+    def points(self) -> tuple:
+        return row_sets(self.member)
 
     @cached_property
     def sigma_table(self) -> tuple:
-        return tuple(
-            frozenset(i for i, F in enumerate(self.points) if a in F)
-            for a in range(self.lattice.n)
-        )
+        return row_sets(self.member.T)
 
     def sigma(self, a: int) -> frozenset:
         """The set of points (prime-filter indices) whose filter contains a."""
@@ -126,25 +128,37 @@ def join_irreducibles(L: Lattice) -> frozenset:
     return frozenset(out)
 
 
-def is_powerset_hom(L: Lattice, images, size: int) -> bool:
-    """True iff images (one set per element of L) send bottom/top to
-    empty/full and meet/join to intersection/union in the powerset of
-    range(size).  Meet and join are compared for all pairs at once on the
-    images' packed bit rows; a set with a member outside range(size) is not
-    in that powerset."""
-    full = frozenset(range(size))
-    if len(images) != L.n or images[L.bottom] or images[L.top] != full:
+def is_powerset_hom(L: Lattice, M: np.ndarray) -> bool:
+    """True iff the boolean matrix M, row a the image of element a of L, sends
+    bottom/top to empty/full and meet/join to intersection/union in the
+    powerset of its columns.  Meet and join are compared for all pairs at
+    once on the rows' packed bits."""
+    if M.shape[0] != L.n or M[L.bottom].any() or not M[L.top].all():
         return False
-    if not all(s <= full for s in images):
-        return False
-    return _is_set_hom(L, np.packbits(membership(images, size), axis=1))
+    return _is_set_hom(L, np.packbits(M, axis=1))
 
 
-def check_sigma_isomorphism(S: SpectralSpace) -> bool:
-    """True iff sigma is injective and a bounded hom into the powerset of the
-    points."""
-    st = S.sigma_table
-    return len(set(st)) == S.lattice.n and is_powerset_hom(S.lattice, st, len(S.points))
+def check_sigma_isomorphism(L: Lattice, S: SpectralSpace) -> bool:
+    """True iff sigma is injective on L and a bounded hom into the powerset
+    of the points."""
+    sigma = S.member.T
+    return len({row.tobytes() for row in sigma}) == L.n and is_powerset_hom(L, sigma)
+
+
+def ideal_witness(L: Lattice, I):
+    """None if the subset I is down-closed and join-closed (an ideal, when
+    non-empty).  Otherwise (a, b, kind) for the least a in I and then the
+    least b with b <= a outside I ("down-closure") or b in I with a | b
+    outside I ("join-closure"), down-closure first at the same (a, b)."""
+    inside = np.zeros(L.n, dtype=bool)
+    inside[list(I)] = True
+    members = np.flatnonzero(inside)
+    down = L.leq_table[:, members].T & ~inside
+    bad = down | (inside & ~inside[L.join[members]])
+    if not bad.any():
+        return None
+    k, b = divmod(int(bad.argmax()), L.n)
+    return int(members[k]), b, "down-closure" if down[k, b] else "join-closure"
 
 
 @dataclass(frozen=True)

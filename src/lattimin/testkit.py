@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .errors import IncompatiblePartition, TooLarge
 from .lattice import Lattice, Poset, class_ids, downset_lattice
 from .preference import WeakOrder, dense_ranks, trivializer_set
@@ -20,24 +22,13 @@ MAX_POSET_SIZE = 6
 
 
 def random_poset(size: int, rng: random.Random) -> Poset:
-    """Random poset via upper-triangular edge inclusion + transitive closure."""
-    rel = [[False] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            rel[i][j] = rng.random() < EDGE_PROB
-    for k in range(size):
-        for i in range(size):
-            if rel[i][k]:
-                for j in range(size):
-                    if rel[k][j]:
-                        rel[i][j] = True
-    covers = [
-        (i, j)
-        for i in range(size)
-        for j in range(i + 1, size)
-        if rel[i][j] and not any(rel[i][k] and rel[k][j] for k in range(size))
-    ]
-    return Poset(size, tuple(covers))
+    """Random poset via upper-triangular edge inclusion + transitive closure,
+    given by its covers in row-major order."""
+    edges = [(i, j) for i in range(size) for j in range(i + 1, size)
+             if rng.random() < EDGE_PROB]
+    rel = Poset(size, edges).leq & ~np.eye(size, dtype=bool)
+    return Poset(size, [(i, j) for i, j in zip(*np.nonzero(rel))
+                        if not (rel[i] & rel[:, j]).any()])
 
 
 def random_distributive_lattice(max_poset_size: int, seed: int) -> Lattice:
@@ -75,22 +66,16 @@ def random_weak_order(k: int, rng: random.Random) -> tuple[int, ...]:
 
 
 def random_representation(L: Lattice, seed: int) -> Representation:
-    """Random non-empty subset of L's prime filters, sigma restricted to it,
-    random rank function on the chosen outcomes."""
+    """Random subset of L's prime filters, non-empty if L has any, sigma
+    restricted to it, random rank function on the chosen outcomes."""
     rng = random.Random(seed)
-    S = enumerate_prime_filters(L)
-    p = len(S.points)
-    if p == 0:  # one-element lattice
-        return Representation(0, (frozenset(),) * L.n, ())
+    member = enumerate_prime_filters(L).member
+    p = member.shape[0]
     chosen = [i for i in range(p) if rng.random() < 0.5]
-    if not chosen:
+    if not chosen and p:
         chosen = [rng.randrange(p)]
-    reindex = {old: new for new, old in enumerate(chosen)}
-    sigma_map = tuple(
-        frozenset(reindex[i] for i in S.sigma(a) if i in reindex) for a in range(L.n)
-    )
     ranks = random_weak_order(len(chosen), rng)
-    return Representation(len(chosen), sigma_map, ranks)
+    return Representation(len(chosen), member.T[:, chosen], ranks)
 
 
 def derived_weak_order(L: Lattice, seed: int) -> WeakOrder:
@@ -101,11 +86,10 @@ def derived_weak_order(L: Lattice, seed: int) -> WeakOrder:
 def duplicate_outcome(R: Representation, outcome: int) -> Representation:
     """Alternative representation with one outcome duplicated; preserves the
     induced preference, so it must factor through the minimal one."""
-    new = R.outcome_count
-    sigma_map = tuple(
-        s | {new} if outcome in s else s for s in R.sigma_map
+    sigma = np.hstack([R.sigma, R.sigma[:, [outcome]]])
+    return Representation(
+        R.outcome_count + 1, sigma, R.outcome_ranks + (R.outcome_ranks[outcome],)
     )
-    return Representation(new + 1, sigma_map, R.outcome_ranks + (R.outcome_ranks[outcome],))
 
 
 def literal_dominance(sets, ranks) -> list:

@@ -416,6 +416,23 @@ class TestInputErrors:
         assert main(args) == 2
         assert "is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["verify", "factor"])
+    @pytest.mark.parametrize("outcome", [-1, 2])
+    def test_outcome_out_of_range(self, chain3_file, w3_file, tmp_path, capsys, verb, outcome):
+        rep = {"outcomes": 2, "sigma": {"0": [], "1": [outcome], "2": [0, 1]},
+               "outcome_ranks": [1, 0]}
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(rep))
+        args = [verb, "--lattice", chain3_file, "--pref", w3_file, "--rep", str(path)]
+        assert main(args) == 2
+        assert "outside range(2)" in capsys.readouterr().err
+
+    def test_sixteen_point_poset_refused(self, tmp_path, capsys):
+        path = tmp_path / "antichain16.json"
+        path.write_text(json.dumps({"poset": {"n": 16, "covers": []}}))
+        assert main(["spectrum", "--lattice", str(path)]) == 2
+        assert "capped at 4096 elements" in capsys.readouterr().err
+
 
 class TestFuzz:
     @pytest.mark.parametrize(

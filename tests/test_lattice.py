@@ -11,6 +11,7 @@ from lattimin import (
     NotALattice,
     Poset,
     PosetCyclic,
+    TooLarge,
     build_lattice,
     check_hom,
     downset_lattice,
@@ -278,6 +279,17 @@ class TestDownsetLattice:
         L = downset_lattice(Poset(2))
         assert L.n == 4 and is_boolean(L)
         assert same_tables(L, B2)
+
+    def test_sixteen_point_antichain_refused_up_front(self):
+        # 65,536 down-sets: refused before any table is built
+        with pytest.raises(TooLarge, match="4096 elements, got 65536"):
+            downset_lattice(Poset(16))
+
+    def test_element_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(lattice_module, "MAX_ELEMENTS", 3)
+        assert downset_lattice(Poset(2, [(0, 1)])).n == 3
+        with pytest.raises(TooLarge):
+            downset_lattice(Poset(2))
 
     def test_cyclic_poset_rejected(self):
         with pytest.raises(PosetCyclic):

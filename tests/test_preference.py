@@ -19,7 +19,7 @@ from lattimin import (
 )
 from lattimin.errors import AxiomsNotSatisfied
 from lattimin.fixtures import B2, B2_A, B2_B, CHAIN3, W3
-from lattimin.lattice import BLOCK_ELEMENTS, Poset, downset_lattice
+from lattimin.lattice import BLOCK_ELEMENTS, Poset, downset_lattice, membership
 from lattimin import preference
 from lattimin.preference import (
     axioms12_hold,
@@ -183,7 +183,7 @@ class TestZeroClass:
 class TestCheckedWorstRanks:
     def test_empty_set_scores_best_under_negative_ranks(self):
         sets = [frozenset(), frozenset({0}), frozenset({0, 1})]
-        worst = checked_worst_ranks(sets, (-5, -3))
+        worst = checked_worst_ranks(membership(sets, 2), (-5, -3))
         assert worst[1:] == [-5, -3]
         assert worst[0] < -5
 
@@ -196,7 +196,7 @@ class TestCheckedWorstRanks:
                 frozenset(x for x in range(k) if rng.random() < 0.5)
                 for _ in range(rng.randint(0, 5))
             ]
-            worst = checked_worst_ranks(sets, ranks)
+            worst = checked_worst_ranks(membership(sets, k), ranks)
             rel = literal_dominance(sets, ranks)
             for a in range(len(sets)):
                 for b in range(len(sets)):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from lattimin import (
@@ -264,6 +265,29 @@ class TestDerivePref:
         derived = derive_pref_from_rep(R)
         assert derived.strictly_prefers(1, 2)
         assert derived.indifferent(2, 3)
+
+
+class TestRepresentationForm:
+    """sigma is one read-only matrix, given as one or as sets; sigma_map is
+    its frozenset view, and equality compares values."""
+
+    def test_sets_and_matrix_give_equal_representations(self):
+        sets = (frozenset(), {1}, {0, 1})
+        matrix = np.array([[False, False], [False, True], [True, True]])
+        R = Representation(2, sets, (1, 0))
+        from_matrix = Representation(2, matrix, (1, 0))
+        assert R == from_matrix == Representation(2, [[], [1], [1, 0]], (1, 0))
+        assert not R.sigma.flags.writeable
+        assert R.sigma_map == tuple(map(frozenset, sets))
+        matrix[0, 0] = True  # the representation keeps its own copy
+        assert from_matrix == R
+
+    def test_equality_compares_every_field(self):
+        R = Representation(2, ((), (1,), (0, 1)), (1, 0))
+        assert R != Representation(2, ((), (0,), (0, 1)), (1, 0))
+        assert R != Representation(2, ((), (1,), (0, 1)), (0, 1))
+        assert R != Representation(3, ((), (1,), (0, 1)), (1, 0, 0))
+        assert R != "R"
 
 
 class TestVerifyRepresentation:

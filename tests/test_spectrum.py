@@ -1,9 +1,14 @@
+import collections
+import gc
 import random
+import weakref
 
+import numpy as np
 import pytest
 
 from lattimin import (
     LawViolation,
+    Representation,
     build_lattice,
     check_sigma_isomorphism,
     classify_subset,
@@ -16,8 +21,8 @@ from lattimin import (
 )
 from lattimin import duality_equivalence_report, lattice as lattice_module
 from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3
-from lattimin.lattice import Poset, downset_lattice
-from lattimin.spectrum import SpectralSpace, is_powerset_hom
+from lattimin.lattice import Poset, downset_lattice, membership
+from lattimin.spectrum import SpectralSpace, ideal_witness, is_powerset_hom
 from lattimin.testkit import powerset_hom_by_loop, random_distributive_lattice
 
 from conftest import random_tables
@@ -150,19 +155,19 @@ class TestJoinIrreducibles:
 class TestSigmaIsomorphism:
     @pytest.mark.parametrize("L", FIXTURES, ids=FIXTURE_IDS)
     def test_fixtures(self, L):
-        assert check_sigma_isomorphism(enumerate_prime_filters(L))
+        assert check_sigma_isomorphism(L, enumerate_prime_filters(L))
 
     def test_random_downset_lattices(self):
         for seed in range(100):
             L = random_distributive_lattice(5, seed)
-            assert check_sigma_isomorphism(enumerate_prime_filters(L))
+            assert check_sigma_isomorphism(L, enumerate_prime_filters(L))
 
     def test_non_injective_sigma_rejected(self):
         # one point of CHAIN3: sigma sends 0 and 1/2 to the empty set, a hom
         # onto the powerset of one point that is not injective
-        S = SpectralSpace(CHAIN3, (frozenset({2}),))
-        assert is_powerset_hom(CHAIN3, S.sigma_table, 1)
-        assert not check_sigma_isomorphism(S)
+        S = SpectralSpace(np.array([[False, False, True]]))
+        assert is_powerset_hom(CHAIN3, S.member.T)
+        assert not check_sigma_isomorphism(CHAIN3, S)
 
 
 class TestIsPowersetHom:
@@ -181,7 +186,7 @@ class TestIsPowersetHom:
                    for a in L.elements() for b in L.elements())
 
     def verdict(self, L, images, size):
-        fast = is_powerset_hom(L, images, size)
+        fast = is_powerset_hom(L, membership(images, size))
         assert fast == powerset_hom_by_loop(L, images, size)
         return fast
 
@@ -216,8 +221,16 @@ class TestIsPowersetHom:
         assert not self.verdict(B2, self.SIGMA_B2 + (frozenset(),), 2)
 
     def test_member_outside_the_powerset_rejected(self):
+        # sets enter the matrix form only through membership, which refuses
+        # a member outside range(size); a matrix has its outcome count
         images = self.SIGMA_B2[:1] + (self.SIGMA_B2[1] | {5},) + self.SIGMA_B2[2:]
-        assert not self.verdict(B2, images, 2)
+        with pytest.raises(ValueError, match="outside"):
+            membership(images, 2)
+        for sets in (images, ((), (-1,), (1,), (0, 1))):
+            with pytest.raises(ValueError, match="outside"):
+                Representation(2, sets, (0, 1))
+        with pytest.raises(ValueError, match="one column per outcome"):
+            Representation(2, np.ones((4, 3), dtype=bool), (0, 1))
 
     @staticmethod
     def candidate_images(L, rng):
@@ -263,7 +276,77 @@ class TestIsPowersetHom:
     def test_sigma_of_two_block_lattice(self):
         L = downset_lattice(Poset(7))  # 128 elements: two row blocks
         assert len(lattice_module._row_blocks(L.n)) == 2
-        assert check_sigma_isomorphism(enumerate_prime_filters(L))
+        assert check_sigma_isomorphism(L, enumerate_prime_filters(L))
+
+
+class TestSpectralSpaceForm:
+    """The spectrum is one read-only matrix; its frozensets are views."""
+
+    def test_lattice_freed_without_a_collection(self):
+        gc.disable()
+        try:
+            L = downset_lattice(Poset(3, [(0, 1)]))
+            ref = weakref.ref(L)
+            assert len(L.spectrum.points) == 3
+            del L
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_views_match_the_matrix(self):
+        for seed in range(50):
+            L = random_distributive_lattice(5, seed)
+            S = enumerate_prime_filters(L)
+            assert not S.member.flags.writeable
+            assert S.member.shape == (len(S.points), L.n)
+            assert [sorted(F) for F in S.points] == [
+                [a for a in L.elements() if S.member[i, a]] for i in range(len(S.points))
+            ]
+            assert all(S.sigma(a) == {i for i, F in enumerate(S.points) if a in F}
+                       for a in L.elements())
+
+
+def ideal_witness_by_loop(L, I):
+    """The witness loop zero_class ran before ideal_witness: the first a in I,
+    then the first b, down-closure tested before join-closure."""
+    for a in sorted(I):
+        for b in range(L.n):
+            if L.leq(b, a) and b not in I:
+                return a, b, "down-closure"
+            if b in I and int(L.join[a, b]) not in I:
+                return a, b, "join-closure"
+    return None
+
+
+class TestIdealWitness:
+    @staticmethod
+    def subsets(L, rng):
+        """A principal down-set (an ideal on lawful tables), a union of two
+        (down-closed, perhaps not join-closed) and a random subset."""
+        picks = [rng.randrange(L.n) for _ in range(3)]
+        yield L.downset(picks[0])
+        yield L.downset(picks[1]) | L.downset(picks[2])
+        yield frozenset(a for a in L.elements() if rng.random() < 0.5)
+
+    def test_matches_loop_and_classify_subset(self):
+        rng = random.Random(5)
+        kinds = collections.Counter()
+        for seed in range(400):
+            L = random_tables(seed) if seed % 2 else random_distributive_lattice(5, seed)
+            for I in self.subsets(L, rng):
+                if not I:
+                    continue
+                witness = ideal_witness(L, I)
+                assert witness == ideal_witness_by_loop(L, I), (seed, sorted(I))
+                assert (witness is None) == classify_subset(L, I).is_ideal
+                kinds[witness[2] if witness else "ideal"] += 1
+        assert min(kinds[k] for k in ("ideal", "down-closure", "join-closure")) >= 50, kinds
+
+    def test_b2_examples(self):
+        assert ideal_witness(B2, {0, B2_A}) is None
+        assert ideal_witness(B2, {0, B2.top}) == (B2.top, B2_A, "down-closure")
+        assert ideal_witness(B2, {B2.top}) == (B2.top, 0, "down-closure")
+        assert ideal_witness(B2, {0, B2_A, B2_B}) == (B2_A, B2_B, "join-closure")
 
 
 class TestFiniteTopology:
