@@ -2,7 +2,7 @@
 and synthesis, emit deterministic JSON reports.
 
 Exit codes: 0 success/agreement, 1 check failure (violations written to the
-report), 2 malformed input.
+report), 2 malformed input, 3 internal error.
 """
 
 from __future__ import annotations
@@ -264,6 +264,10 @@ def main(argv=None) -> int:
     except LattiminError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a fault of lattimin, not of the input or a check
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     _emit(report, args.out)
     return code
 

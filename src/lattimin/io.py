@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
 from .errors import LattiminError
-from .lattice import Lattice, Poset, build_lattice, downset_lattice
+from .lattice import Lattice, Poset, build_lattice, downset_lattice, row_lists
 from .preference import WeakOrder
 from .representation import Representation
 from .spectrum import SpectralSpace
@@ -30,15 +31,51 @@ def load_json(path) -> dict:
     return d
 
 
+# Every integer read from a file lies strictly between -INT_LIMIT and
+# INT_LIMIT, so negating it or taking min(ranks) - 1 still fits in int64.
+INT_LIMIT = 1 << 62
+
+
 def _ints(value, name: str, depth: int = 0):
-    """value as a JSON integer, or as lists nested depth deep of them;
-    TypeError otherwise.  Booleans and floats are not integers."""
+    """value as a JSON integer in (-INT_LIMIT, INT_LIMIT), or as lists nested
+    depth deep of them; a rectangular depth-2 table comes back as one intp
+    array.  Booleans and floats are not integers.
+
+    Certified at C speed one nesting level at a time: only lists, then only
+    ints in range.  A refused value goes through _walk_ints, whose TypeError
+    or ValueError names the first bad entry."""
+    level = [value]
+    for _ in range(depth):
+        if not set(map(type, level)) <= {list}:
+            return _walk_ints(value, name, depth)
+        widths = set(map(len, level))
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int}:
+        return _walk_ints(value, name, depth)
+    if depth == 2 and value and len(widths) == 1:
+        try:
+            table = np.fromiter(level, dtype=np.intp, count=len(level))
+        except OverflowError:
+            return _walk_ints(value, name, depth)
+        if table.size and not (-INT_LIMIT < table.min() and table.max() < INT_LIMIT):
+            return _walk_ints(value, name, depth)
+        return table.reshape(len(value), len(value[0]))
+    if level and not (-INT_LIMIT < min(level) and max(level) < INT_LIMIT):
+        return _walk_ints(value, name, depth)
+    return value
+
+
+def _walk_ints(value, name: str, depth: int):
+    """_ints by a recursive walk, which raises at the first bad entry in
+    reading order."""
     if depth:
         if not isinstance(value, list):
             raise TypeError(f"{name}: expected a list, got {json.dumps(value)}")
-        return [_ints(v, name, depth - 1) for v in value]
+        return [_walk_ints(v, name, depth - 1) for v in value]
     if type(value) is not int:
         raise TypeError(f"{name}: {json.dumps(value)} is not an integer")
+    if not -INT_LIMIT < value < INT_LIMIT:
+        raise ValueError(f"{name}: {value} is outside the integer range (-2**62, 2**62)")
     return value
 
 
@@ -105,7 +142,7 @@ def load_preference(path, L: Lattice) -> WeakOrder:
 def representation_to_dict(R: Representation) -> dict:
     return {
         "outcomes": R.outcome_count,
-        "sigma": {str(a): np.flatnonzero(row).tolist() for a, row in enumerate(R.sigma)},
+        "sigma": {str(a): row for a, row in enumerate(row_lists(R.sigma))},
         "outcome_ranks": list(R.outcome_ranks),
     }
 
@@ -115,7 +152,7 @@ def load_representation(path, L: Lattice) -> Representation:
     try:
         count = _ints(d["outcomes"], "outcomes")
         sigma = d["sigma"]
-        sets = [_ints(sigma[str(a)], "sigma", 1) for a in range(L.n)]
+        sets = _ints([sigma[str(a)] for a in range(L.n)], "sigma", 2)
         ranks = _ints(d["outcome_ranks"], "outcome_ranks", 1)
         return Representation(count, sets, ranks)
     except (KeyError, TypeError, ValueError) as e:
@@ -124,6 +161,6 @@ def load_representation(path, L: Lattice) -> Representation:
 
 def spectrum_to_dict(S: SpectralSpace) -> dict:
     return {
-        "points": [np.flatnonzero(row).tolist() for row in S.member],
-        "sigma": {str(a): np.flatnonzero(col).tolist() for a, col in enumerate(S.member.T)},
+        "points": row_lists(S.member),
+        "sigma": {str(a): col for a, col in enumerate(row_lists(S.member.T))},
     }

@@ -313,34 +313,26 @@ def lattice_from_order(order, labels=None, validate=True) -> Lattice:
 def downset_lattice(P: Poset) -> Lattice:
     """Lattice of down-closed subsets of P, ordered by inclusion.
 
-    Meet is intersection and join is union, so the result is distributive by
+    Elements are the down-set bitmasks sorted by (size, mask).  Meet is
+    intersection and join is union, so the result is distributive by
     construction.  build_lattice validates it all the same; for a lawful
     table that costs the O(n^2 |J|) embedding check, not the O(n^3) scan.
     TooLarge if there are more than MAX_ELEMENTS down-sets.
     """
     masks = P.downset_masks()
-    if len(masks) > MAX_ELEMENTS:
-        raise TooLarge(f"down-set lattice capped at {MAX_ELEMENTS} elements, got {len(masks)}")
-    L, _ = mask_family_lattice(
-        masks, lambda m: "{" + ",".join(str(e) for e in range(P.n) if m >> e & 1) + "}"
-    )
-    return L
-
-
-def mask_family_lattice(masks, label=None) -> tuple[Lattice, dict]:
-    """Lattice of a family of bitmasks closed under & and |, ordered by
-    inclusion, plus the mask -> element map.
-
-    Elements are the distinct masks sorted by (size, mask), so the least mask
-    is the bottom and the greatest the top.  ``label`` names each mask.
-    """
-    masks = sorted(set(masks), key=_size_then_mask)
-    index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
-    meet = [[index[masks[i] & masks[j]] for j in range(k)] for i in range(k)]
-    join = [[index[masks[i] | masks[j]] for j in range(k)] for i in range(k)]
-    labels = tuple(label(m) for m in masks) if label else None
-    return build_lattice(meet, join, 0, k - 1, labels), index
+    if k > MAX_ELEMENTS:
+        raise TooLarge(f"down-set lattice capped at {MAX_ELEMENTS} elements, got {k}")
+    m = np.asarray(masks, dtype=np.intp)
+    inv = np.zeros(1 << P.n, dtype=np.intp)  # inv[mask]: its element
+    inv[m] = np.arange(k)
+    meet = np.empty((k, k), dtype=np.intp)
+    join = np.empty((k, k), dtype=np.intp)
+    for s in _row_blocks(k):
+        meet[s] = inv[m[s, None] & m]
+        join[s] = inv[m[s, None] | m]
+    labels = ["{" + ",".join(str(e) for e in range(P.n) if x >> e & 1) + "}" for x in masks]
+    return build_lattice(meet, join, 0, k - 1, labels)
 
 
 def relative_complements(L: Lattice, a: int, a_prime: int) -> tuple[int, ...]:
@@ -435,7 +427,15 @@ def membership(sets, size: int) -> np.ndarray:
     return M
 
 
+def row_lists(M: np.ndarray) -> list:
+    """The column indices of the true entries of each row of a boolean
+    matrix, ascending, one list per row; found by one np.nonzero."""
+    cols = np.nonzero(M)[1].tolist()
+    ends = np.cumsum(M.sum(1)).tolist()
+    return [cols[i:j] for i, j in zip([0] + ends, ends)]
+
+
 def row_sets(M: np.ndarray) -> tuple:
     """The rows of a boolean matrix as frozensets of column indices; the
     inverse of membership."""
-    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in M)
+    return tuple(map(frozenset, row_lists(M)))

@@ -48,7 +48,14 @@ def dense_ranks(values) -> tuple[int, ...]:
 
 
 def first_disagreement(r, s, items) -> Optional[tuple[int, int]]:
-    """First pair (a, b) of items, in order, where r and s disagree on a <= b."""
+    """First pair (a, b) of items, in order, where r and s disagree on a <= b.
+
+    r and s agree on every pair iff they rank the items alike, that is iff
+    their dense ranks over the items are equal; only when they differ does
+    the pair loop run, to find the witness."""
+    items = list(items)
+    if dense_ranks(r[a] for a in items) == dense_ranks(s[a] for a in items):
+        return None
     for a in items:
         for b in items:
             if (r[a] <= r[b]) != (s[a] <= s[b]):

@@ -25,7 +25,6 @@ from .lattice import (
     LatticeHom,
     build_lattice,
     class_ids,
-    mask_family_lattice,
     membership,
     row_class_ids,
     row_sets,
@@ -40,7 +39,7 @@ from .preference import (
     first_disagreement,
     zero_class,
 )
-from .spectrum import enumerate_prime_filters, ideal_witness, is_powerset_hom, point_mask
+from .spectrum import enumerate_prime_filters, ideal_witness, is_powerset_hom
 
 
 @dataclass(frozen=True)
@@ -244,6 +243,25 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     return Representation(S.member.shape[0], S.member.T[list(h.mapping)], fwd.ranks)
 
 
+def _image_lattice(
+    L: Lattice, sigma: np.ndarray, ids: np.ndarray
+) -> tuple[Lattice, np.ndarray]:
+    """The image of the powerset hom sigma, whose rows have the class ids
+    ids, as a lattice L/ker sigma: the distinct rows sorted by (size,
+    point_mask), with L's tables on one representative per row.  Also the
+    image element of each element of L."""
+    _, first = np.unique(ids, return_index=True)  # one element per distinct row
+    rows = sigma[first]
+    # np.lexsort's last key is the primary one: size, then the last column
+    order = np.lexsort(np.vstack([rows.T, rows.sum(1)]))
+    reps = first[order]
+    cls = np.empty_like(order)
+    cls[order] = np.arange(order.size)
+    cls = cls[ids]
+    tables = (cls[T[reps[:, None], reps]] for T in (L.meet, L.join))
+    return build_lattice(*tables, 0, reps.size - 1), cls
+
+
 @dataclass(frozen=True)
 class Refutation:
     """Witness that a factoring homomorphism is ill-defined."""
@@ -273,13 +291,10 @@ def factor_check(
     split = (other[:, None] == other) & (least[:, None] != least)
     if split.any():
         return Refutation(divmod(int(split.argmax()), L.n))
-    src_masks = [point_mask(s) for s in R_other.sigma_map]
-    dst_masks = [point_mask(s) for s in R_min.sigma_map]
-    src, src_index = mask_family_lattice(src_masks)
-    dst, dst_index = mask_family_lattice(dst_masks)
-    mapping = [0] * src.n
-    for m_src, m_dst in zip(src_masks, dst_masks):
-        mapping[src_index[m_src]] = dst_index[m_dst]
+    src, src_cls = _image_lattice(L, R_other.sigma, other)
+    dst, dst_cls = _image_lattice(L, R_min.sigma, least)
+    mapping = np.zeros(src.n, dtype=np.intp)
+    mapping[src_cls] = dst_cls
     hom = LatticeHom(src, dst, tuple(mapping))
     if set(hom.mapping) != set(range(dst.n)):
         raise NotARepresentation("factoring hom is not surjective")

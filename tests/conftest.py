@@ -32,3 +32,14 @@ def random_tables(seed):
     meet, join = (np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
                   for _ in range(2))
     return Lattice(meet, join, rng.randrange(n), rng.randrange(n))
+
+
+def mask_family_by_loop(masks):
+    """Plain-loop oracle for a lattice of bitmasks closed under & and |:
+    (meet, join, index) over the distinct masks sorted by (size, mask), with
+    index the mask -> element map."""
+    masks = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    index = {m: i for i, m in enumerate(masks)}
+    meet = [[index[x & y] for y in masks] for x in masks]
+    join = [[index[x | y] for y in masks] for x in masks]
+    return meet, join, index

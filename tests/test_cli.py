@@ -434,6 +434,76 @@ class TestInputErrors:
         assert "capped at 4096 elements" in capsys.readouterr().err
 
 
+class TestIntegerRange:
+    """Every integer read from a file lies in the open range (-2**62, 2**62);
+    one outside it exits 2 with a message, whichever verb reads it."""
+
+    LIMIT = 2**62
+
+    @pytest.mark.parametrize("value", [2**62, -2**62, 99999999999999999999999])
+    def test_table_entry_refused(self, tmp_path, capsys, value):
+        d = lattice_to_dict(CHAIN3)
+        d["meet"][1][2] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", "--lattice", str(path)]) == 2
+        assert f"meet: {value} is outside the integer range" in capsys.readouterr().err
+
+    def test_table_entry_inside_range_reaches_table_check(self, tmp_path, capsys):
+        d = lattice_to_dict(CHAIN3)
+        d["join"][1][2] = self.LIMIT - 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", "--lattice", str(path)]) == 2
+        assert "join table entries out of range 0..2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["axioms", "dualize", "represent", "verify"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rank_on_both_sides_of_bound(self, chain3_file, tmp_path, capsys, verb, sign):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]},
+                                   "outcome_ranks": [1, 0]}))
+        pref = tmp_path / "pref.json"
+        args = [verb, "--lattice", chain3_file, "--pref", str(pref)]
+        args += ["--rep", str(rep)] if verb == "verify" else []
+        pref.write_text(json.dumps({"ranks": [0, sign * (self.LIMIT - 1), sign]}))
+        assert main(args) in (0, 1)
+        assert capsys.readouterr().err == ""
+        pref.write_text(json.dumps({"ranks": [0, sign * self.LIMIT, sign]}))
+        assert main(args) == 2
+        assert f"ranks: {sign * self.LIMIT} is outside" in capsys.readouterr().err
+
+    def test_dualize_most_negative_int64_rank_refused(self, chain3_file, tmp_path, capsys):
+        pref = tmp_path / "pref.json"
+        pref.write_text(json.dumps({"ranks": [0, -9223372036854775808, 1]}))
+        assert main(["dualize", "--lattice", chain3_file, "--pref", str(pref)]) == 2
+        assert "is outside the integer range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_outcome_rank_on_both_sides_of_bound(self, chain3_file, w3_file, tmp_path,
+                                                 capsys, sign):
+        rep = tmp_path / "rep.json"
+        args = ["verify", "--lattice", chain3_file, "--pref", w3_file, "--rep", str(rep)]
+        for rank, code in ((sign * (self.LIMIT - 1), (0, 1)), (sign * self.LIMIT, (2,))):
+            rep.write_text(json.dumps({"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]},
+                                       "outcome_ranks": [rank, 0]}))
+            assert main(args) in code
+        assert "outcome_ranks: " in capsys.readouterr().err
+
+
+class TestInternalError:
+    def test_non_lattimin_exception_exits_3_with_one_line(self, chain3_file, monkeypatch,
+                                                          capsys):
+        def fail(L):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "validate_laws", fail)
+        assert main(["validate", "--lattice", chain3_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
+
+
 class TestFuzz:
     @pytest.mark.parametrize(
         "args, message",

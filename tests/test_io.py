@@ -5,10 +5,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattimin import Lattice
 from lattimin.io import (
+    INT_LIMIT,
+    _ints,
+    _walk_ints,
     lattice_from_dict,
     lattice_to_dict,
     load_preference,
@@ -66,3 +70,75 @@ def test_preference_loads_as_written(seed, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_json(tmp, "pref.json", {"ranks": ranks})
         assert load_preference(path, L).ranks == tuple(ranks)
+
+
+def _refusal(fn, *args):
+    """(value, None) from fn(*args), or (None, (type, message)) if it raises."""
+    try:
+        return fn(*args), None
+    except (TypeError, ValueError) as e:
+        return None, (type(e), str(e))
+
+
+edge_ints = st.sampled_from([0, 1, -1, INT_LIMIT - 1, -INT_LIMIT + 1, INT_LIMIT,
+                             -INT_LIMIT, 2**63, -2**63, 10**23, -10**23])
+leaves = st.one_of(
+    st.integers(-5, 5), edge_ints, st.booleans(), st.floats(allow_nan=False),
+    st.text(max_size=2), st.none(),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=1),
+)
+nested = st.recursive(leaves, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def tables(draw):
+    """Mostly well-formed int tables of depth 0-3, some with one entry, row
+    or width spoilt (ragged, bool, float, huge, too deep or shallow)."""
+    depth = draw(st.integers(0, 3))
+    shape = draw(st.lists(st.integers(0, 4), min_size=depth, max_size=depth))
+    def build(dims):
+        if not dims:
+            return draw(st.one_of(st.integers(-3, 3), edge_ints))
+        return [build(dims[1:]) for _ in range(dims[0])]
+    value = build(shape)
+    if draw(st.booleans()) and isinstance(value, list) and value:
+        spoilt = draw(st.one_of(leaves, nested))
+        row = value[draw(st.integers(0, len(value) - 1))]
+        if isinstance(row, list) and row and draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = spoilt
+        else:
+            value[draw(st.integers(0, len(value) - 1))] = spoilt
+    return value, draw(st.integers(max(0, depth - 1), depth + 1))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(tables(), st.tuples(nested, st.integers(0, 3))))
+def test_ints_fast_path_agrees_with_walk(case):
+    """_ints and the walk give the same verdict and message on every value,
+    and the same integers when both accept; a rectangular depth-2 table
+    comes back as one intp array."""
+    value, depth = case
+    fast, fast_err = _refusal(_ints, value, "t", depth)
+    walked, walk_err = _refusal(_walk_ints, value, "t", depth)
+    assert fast_err == walk_err
+    if walk_err is None:
+        rectangular = depth == 2 and value and len({len(row) for row in value}) == 1
+        if rectangular:
+            assert isinstance(fast, np.ndarray) and fast.dtype == np.intp
+            assert fast.tolist() == walked
+        else:
+            assert fast == walked and not isinstance(fast, np.ndarray)
+
+
+def test_ints_refuses_mixed_int_bool_table():
+    with pytest.raises(TypeError, match="t: true is not an integer"):
+        _ints([[0, 1], [True, 0]], "t", 2)
+
+
+@pytest.mark.parametrize("v", [INT_LIMIT, -INT_LIMIT, 2**63, -2**63 - 1, 10**23])
+def test_ints_range_is_open_at_two_to_62(v):
+    inside = v - 1 if v > 0 else v + 1
+    if abs(inside) < INT_LIMIT:
+        assert _ints([[0], [inside]], "t", 2).tolist() == [[0], [inside]]
+    with pytest.raises(ValueError, match=f"t: {v} is outside the integer range"):
+        _ints([[0], [v]], "t", 2)

@@ -32,7 +32,7 @@ from lattimin.lattice import (
 )
 from lattimin.testkit import random_distributive_lattice, random_poset
 
-from conftest import random_tables, same_tables
+from conftest import mask_family_by_loop, random_tables, same_tables
 
 
 class TestBuildLattice:
@@ -279,6 +279,21 @@ class TestDownsetLattice:
         L = downset_lattice(Poset(2))
         assert L.n == 4 and is_boolean(L)
         assert same_tables(L, B2)
+
+    def test_tables_and_labels_match_mask_family_loop(self):
+        """Random posets, and the 8-point poset whose 128 down-sets span
+        several row blocks of the table lookup."""
+        rng = random.Random(8)
+        posets = [Poset(8, ((0, 1), (1, 2)))] + [random_poset(rng.randint(1, 6), rng)
+                                                 for _ in range(60)]
+        for P in posets:
+            L = downset_lattice(P)
+            meet, join, index = mask_family_by_loop(P.downset_masks())
+            assert L.meet.tolist() == meet and L.join.tolist() == join
+            assert (L.bottom, L.top) == (0, len(meet) - 1)
+            assert L.labels == tuple(
+                "{" + ",".join(str(e) for e in range(P.n) if m >> e & 1) + "}" for m in index
+            )
 
     def test_sixteen_point_antichain_refused_up_front(self):
         # 65,536 down-sets: refused before any table is built

@@ -221,3 +221,37 @@ class TestCheckedWorstRanks:
         R = Representation(2, (frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
         with pytest.raises(RuntimeError, match="literal formula"):
             derive_pref_from_rep(R)
+
+
+class TestFirstDisagreement:
+    @staticmethod
+    def by_loop(r, s, items):
+        for a in items:
+            for b in items:
+                if (r[a] <= r[b]) != (s[a] <= s[b]):
+                    return a, b
+        return None
+
+    def test_agrees_with_pair_loop(self):
+        """Random orders over random item lists, half of them s an
+        order-preserving relabelling of r; s both as a list and a dict."""
+        rng = random.Random(5)
+        found = set()
+        for _ in range(400):
+            n = rng.randint(0, 9)
+            r = [rng.randint(-3, 3) for _ in range(n)]
+            if rng.random() < 0.5:
+                s = [rng.randint(-3, 3) for _ in range(n)]
+            else:
+                lift = sorted(rng.sample(range(-50, 50), 7))
+                s = [lift[v + 3] for v in r]  # same order as r
+                if n and rng.random() < 0.3:
+                    s[rng.randrange(n)] += rng.choice((-1, 1))
+            items = [a for a in range(n) if rng.random() < 0.8]
+            rng.shuffle(items)
+            expected = self.by_loop(r, s, items)
+            found.add(expected is None)
+            for s_arg in (s, dict(enumerate(s))):
+                assert preference.first_disagreement(r, s_arg, items) == expected
+                assert preference.first_disagreement(r, s_arg, iter(items)) == expected
+        assert found == {True, False}

@@ -29,7 +29,7 @@ from lattimin import (
 from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
 from lattimin.lattice import Poset, downset_lattice
 from lattimin.preference import zero_class
-from lattimin.spectrum import classify_subset
+from lattimin.spectrum import classify_subset, point_mask
 from lattimin.representation import (
     check_representation_hom,
     congruence_from_classes,
@@ -46,7 +46,7 @@ from lattimin.testkit import (
     trivializer_classes_by_loop,
 )
 
-from conftest import random_tables, same_tables
+from conftest import mask_family_by_loop, random_tables, same_tables
 
 
 class TestBetaPrime:
@@ -383,6 +383,40 @@ class TestFactorCheck:
                 assert witness == kernel_split_by_loop(R_other, R_to), seed
                 witnesses.append(witness)
         assert witnesses.count(None) >= 100 and len(set(witnesses)) >= 10
+
+
+    def test_image_lattices_and_hom_match_mask_family_loop(self):
+        """The image lattices and the hom equal the lattices of the sigma
+        bitmasks, built pair by pair, on seeded representations with one
+        outcome duplicated, factored through the minimal one."""
+        P8 = downset_lattice(Poset(8, ((0, 1), (1, 2))))  # 128 elements
+        cases = [(P8, 208)] + [(random_distributive_lattice(5, s), s) for s in range(150)]
+        homs = 0
+        for L, seed in cases:
+            rng = random.Random(seed)
+            R = random_representation(L, seed)
+            W = derive_pref_from_rep(R)
+            R_min = minimal_representation(L, W)
+            for R_other in (R, R_min):
+                if R_other.outcome_count:
+                    R_other = duplicate_outcome(R_other, rng.randrange(R_other.outcome_count))
+                hom = factor_check(L, W, R_other, R_min)
+                if isinstance(hom, Refutation):
+                    continue
+                homs += 1
+                src_masks = [point_mask(x) for x in R_other.sigma_map]
+                dst_masks = [point_mask(x) for x in R_min.sigma_map]
+                for image, masks in ((hom.source, src_masks), (hom.target, dst_masks)):
+                    meet, join, _ = mask_family_by_loop(masks)
+                    assert image.meet.tolist() == meet and image.join.tolist() == join, seed
+                    assert (image.bottom, image.top) == (0, len(meet) - 1)
+                _, _, src_index = mask_family_by_loop(src_masks)
+                _, _, dst_index = mask_family_by_loop(dst_masks)
+                mapping = [0] * hom.source.n
+                for m_src, m_dst in zip(src_masks, dst_masks):
+                    mapping[src_index[m_src]] = dst_index[m_dst]
+                assert hom.mapping == tuple(mapping), seed
+        assert homs >= 250
 
 
 class TestDerivedOrderAxioms:
