@@ -2,7 +2,7 @@
 and synthesis, emit deterministic JSON reports.
 
 Exit codes: 0 success/agreement, 1 check failure (violations written to the
-report), 2 malformed input, 3 internal error.
+report), 2 malformed input, 3 internal error (entrypoint only).
 """
 
 from __future__ import annotations
@@ -264,16 +264,24 @@ def main(argv=None) -> int:
     except LattiminError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # a fault of lattimin, not of the input or a check
-        log.debug("internal error", exc_info=True)
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
     _emit(report, args.out)
     return code
 
 
-def entrypoint():
-    sys.exit(main())
+def entrypoint(argv=None):
+    """The lattimin program: main's exit code, or 3 with a one-line message
+    for any other exception, a fault of lattimin rather than of the input or
+    a check.  main itself lets such an exception propagate to an in-process
+    caller, and MemoryError keeps its own traceback here."""
+    try:
+        code = main(argv)
+    except MemoryError:
+        raise
+    except Exception as e:
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

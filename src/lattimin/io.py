@@ -36,38 +36,49 @@ def load_json(path) -> dict:
 INT_LIMIT = 1 << 62
 
 
-def _ints(value, name: str, depth: int = 0):
-    """value as a JSON integer in (-INT_LIMIT, INT_LIMIT), or as lists nested
-    depth deep of them; a rectangular depth-2 table comes back as one intp
-    array.  Booleans and floats are not integers.
-
-    Certified at C speed one nesting level at a time: only lists, then only
-    ints in range.  A refused value goes through _walk_ints, whose TypeError
-    or ValueError names the first bad entry."""
+def _leaves(value, depth: int):
+    """The entries of value, lists nested depth deep, flattened in reading
+    order, if every one is an int; else None.  Checked at C speed one
+    nesting level at a time.  Booleans and floats are not ints."""
     level = [value]
     for _ in range(depth):
         if not set(map(type, level)) <= {list}:
-            return _walk_ints(value, name, depth)
-        widths = set(map(len, level))
+            return None
         level = list(itertools.chain.from_iterable(level))
     if not set(map(type, level)) <= {int}:
-        return _walk_ints(value, name, depth)
-    if depth == 2 and value and len(widths) == 1:
-        try:
-            table = np.fromiter(level, dtype=np.intp, count=len(level))
-        except OverflowError:
-            return _walk_ints(value, name, depth)
-        if table.size and not (-INT_LIMIT < table.min() and table.max() < INT_LIMIT):
-            return _walk_ints(value, name, depth)
-        return table.reshape(len(value), len(value[0]))
-    if level and not (-INT_LIMIT < min(level) and max(level) < INT_LIMIT):
+        return None
+    return level
+
+
+def _ints(value, name: str, depth: int = 0):
+    """value, a JSON integer in (-INT_LIMIT, INT_LIMIT) or lists nested depth
+    deep of them; otherwise the TypeError or ValueError of _walk_ints, which
+    names the first bad entry."""
+    level = _leaves(value, depth)
+    if level is None or level and not (-INT_LIMIT < min(level) and max(level) < INT_LIMIT):
         return _walk_ints(value, name, depth)
     return value
 
 
+def _table(value, name: str):
+    """A meet or join table of _ints as the intp array Lattice stores, built
+    from the certified entries.  Rows of unequal length stay lists, so that
+    Lattice refuses them after the other fields have been read."""
+    leaves = _leaves(value, 2)
+    if leaves is None or not value or len(set(map(len, value))) != 1:
+        return _ints(value, name, 2)
+    try:
+        table = np.fromiter(leaves, dtype=np.intp, count=len(leaves))
+    except OverflowError:
+        return _walk_ints(value, name, 2)
+    if table.size and not (-INT_LIMIT < table.min() and table.max() < INT_LIMIT):
+        return _walk_ints(value, name, 2)
+    return table.reshape(len(value), -1)
+
+
 def _walk_ints(value, name: str, depth: int):
     """_ints by a recursive walk, which raises at the first bad entry in
-    reading order."""
+    reading order; only a value refused at C speed is walked."""
     if depth:
         if not isinstance(value, list):
             raise TypeError(f"{name}: expected a list, got {json.dumps(value)}")
@@ -96,8 +107,8 @@ def lattice_from_dict(d, validate=True) -> Lattice:
         return downset_lattice(P)
     try:
         args = (
-            _ints(d["meet"], "meet", 2),
-            _ints(d["join"], "join", 2),
+            _table(d["meet"], "meet"),
+            _table(d["join"], "join"),
             _ints(d["bottom"], "bottom"),
             _ints(d["top"], "top"),
             d.get("labels"),

@@ -160,8 +160,9 @@ class Representation:
     """Triple <X, sigma, outcome order>: outcomes 0..outcome_count-1, sigma a
     read-only boolean matrix with sigma[a, x] iff outcome x is in the image
     of element a, and a rank per outcome.  sigma may be given as such a
-    matrix or as one iterable of outcomes per element; sigma_map is its
-    frozenset view.  Equality compares values."""
+    matrix (dtype bool) or as one iterable of outcomes per element, which
+    an integer array also is; sigma_map is its frozenset view.  Equality
+    compares values."""
 
     outcome_count: int
     sigma: np.ndarray
@@ -171,8 +172,8 @@ class Representation:
         object.__setattr__(self, "outcome_ranks", tuple(int(r) for r in self.outcome_ranks))
         if len(self.outcome_ranks) != self.outcome_count:
             raise ValueError("outcome_ranks length must equal outcome_count")
-        if isinstance(self.sigma, np.ndarray):
-            sigma = np.array(self.sigma, dtype=bool)
+        if isinstance(self.sigma, np.ndarray) and self.sigma.dtype == bool:
+            sigma = self.sigma.copy()
             if sigma.shape[1:] != (self.outcome_count,):
                 raise ValueError("sigma matrix must have one column per outcome")
         else:

@@ -427,6 +427,31 @@ class TestInputErrors:
         assert main(args) == 2
         assert "outside range(2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["verify", "factor"])
+    @pytest.mark.parametrize("outcome", [-1, 2])
+    def test_outcome_out_of_range_in_equal_length_rows(self, chain3_file, w3_file, tmp_path,
+                                                      capsys, verb, outcome):
+        rep = {"outcomes": 2, "sigma": {"0": [outcome, outcome], "1": [outcome, 0], "2": [0, 1]},
+               "outcome_ranks": [1, 0]}
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(rep))
+        args = [verb, "--lattice", chain3_file, "--pref", w3_file, "--rep", str(path)]
+        assert main(args) == 2
+        assert "outside range(2)" in capsys.readouterr().err
+
+    def test_equal_length_rows_are_outcome_lists(self, chain3_file, w3_file, tmp_path, capsys):
+        """sigma rows of one length are read as outcomes, not as truth values:
+        [0, 0], [0, 1], [1, 1] is {0}, {0, 1}, {1}, which does not verify."""
+        reports = []
+        for sigma in ({"0": [0, 0], "1": [0, 1], "2": [1, 1]}, {"0": [0], "1": [0, 1], "2": [1]}):
+            path = tmp_path / "rep.json"
+            path.write_text(json.dumps({"outcomes": 2, "sigma": sigma, "outcome_ranks": [1, 0]}))
+            code, report = run(["verify", "--lattice", chain3_file, "--pref", w3_file,
+                                "--rep", str(path)], capsys)
+            assert code == 1 and report["verified"] is False
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_sixteen_point_poset_refused(self, tmp_path, capsys):
         path = tmp_path / "antichain16.json"
         path.write_text(json.dumps({"poset": {"n": 16, "covers": []}}))
@@ -492,16 +517,41 @@ class TestIntegerRange:
 
 
 class TestInternalError:
-    def test_non_lattimin_exception_exits_3_with_one_line(self, chain3_file, monkeypatch,
-                                                          capsys):
+    """The lattimin program exits 3 with one line for a fault of its own;
+    main lets the exception through to an in-process caller."""
+
+    @pytest.fixture
+    def failing_validate(self, monkeypatch):
         def fail(L):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "validate_laws", fail)
-        assert main(["validate", "--lattice", chain3_file]) == 3
+
+    def test_program_exits_3_with_one_line(self, chain3_file, failing_validate, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint(["validate", "--lattice", chain3_file])
+        assert exit_.value.code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: boom\n"
+
+    def test_main_propagates_the_exception(self, chain3_file, failing_validate):
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["validate", "--lattice", chain3_file])
+
+    def test_memory_error_is_not_an_internal_error(self, chain3_file, monkeypatch, capsys):
+        def fail(L):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "validate_laws", fail)
+        with pytest.raises(MemoryError):
+            cli.entrypoint(["validate", "--lattice", chain3_file])
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_program_passes_main_codes_through(self, chain3_file, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint(["validate", "--lattice", chain3_file])
+        assert exit_.value.code == 0
 
 
 class TestFuzz:

@@ -12,6 +12,7 @@ from lattimin import Lattice
 from lattimin.io import (
     INT_LIMIT,
     _ints,
+    _table,
     _walk_ints,
     lattice_from_dict,
     lattice_to_dict,
@@ -115,30 +116,38 @@ def tables(draw):
 @given(st.one_of(tables(), st.tuples(nested, st.integers(0, 3))))
 def test_ints_fast_path_agrees_with_walk(case):
     """_ints and the walk give the same verdict and message on every value,
-    and the same integers when both accept; a rectangular depth-2 table
-    comes back as one intp array."""
+    and _ints hands back the value itself when both accept.  _table agrees
+    with the walk too, and gives a rectangular table as one intp array."""
     value, depth = case
     fast, fast_err = _refusal(_ints, value, "t", depth)
     walked, walk_err = _refusal(_walk_ints, value, "t", depth)
     assert fast_err == walk_err
     if walk_err is None:
-        rectangular = depth == 2 and value and len({len(row) for row in value}) == 1
-        if rectangular:
-            assert isinstance(fast, np.ndarray) and fast.dtype == np.intp
-            assert fast.tolist() == walked
+        assert fast is value and fast == walked
+    if depth != 2:
+        return
+    table, table_err = _refusal(_table, value, "t")
+    assert table_err == walk_err
+    if walk_err is None:
+        if value and len({len(row) for row in value}) == 1:
+            assert isinstance(table, np.ndarray) and table.dtype == np.intp
+            assert table.tolist() == walked
         else:
-            assert fast == walked and not isinstance(fast, np.ndarray)
+            assert table is value
 
 
 def test_ints_refuses_mixed_int_bool_table():
-    with pytest.raises(TypeError, match="t: true is not an integer"):
-        _ints([[0, 1], [True, 0]], "t", 2)
+    for read in (lambda v: _ints(v, "t", 2), lambda v: _table(v, "t")):
+        with pytest.raises(TypeError, match="t: true is not an integer"):
+            read([[0, 1], [True, 0]])
 
 
 @pytest.mark.parametrize("v", [INT_LIMIT, -INT_LIMIT, 2**63, -2**63 - 1, 10**23])
 def test_ints_range_is_open_at_two_to_62(v):
     inside = v - 1 if v > 0 else v + 1
     if abs(inside) < INT_LIMIT:
-        assert _ints([[0], [inside]], "t", 2).tolist() == [[0], [inside]]
-    with pytest.raises(ValueError, match=f"t: {v} is outside the integer range"):
-        _ints([[0], [v]], "t", 2)
+        assert _ints([[0], [inside]], "t", 2) == [[0], [inside]]
+        assert _table([[0], [inside]], "t").tolist() == [[0], [inside]]
+    for read in (lambda t: _ints(t, "t", 2), lambda t: _table(t, "t")):
+        with pytest.raises(ValueError, match=f"t: {v} is outside the integer range"):
+            read([[0], [v]])

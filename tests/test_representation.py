@@ -282,6 +282,15 @@ class TestRepresentationForm:
         matrix[0, 0] = True  # the representation keeps its own copy
         assert from_matrix == R
 
+    def test_integer_array_is_outcome_lists(self):
+        """Only a bool matrix is read as membership; the rows of an integer
+        array are outcomes, range-checked like any other sets."""
+        R = Representation(2, np.array([[0, 0], [0, 1], [1, 1]]), (1, 0))
+        assert R.sigma_map == (frozenset({0}), frozenset({0, 1}), frozenset({1}))
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="outside range"):
+                Representation(2, np.array([[bad, bad], [bad, 0], [0, 1]]), (1, 0))
+
     def test_equality_compares_every_field(self):
         R = Representation(2, ((), (1,), (0, 1)), (1, 0))
         assert R != Representation(2, ((), (0,), (0, 1)), (1, 0))
