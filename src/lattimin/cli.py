@@ -2,7 +2,8 @@
 and synthesis, emit deterministic JSON reports.
 
 Exit codes: 0 success/agreement, 1 check failure (violations written to the
-report), 2 malformed input, 3 internal error (entrypoint only).
+report), 2 malformed input or a report that cannot be written, 3 internal
+error (entrypoint only).
 """
 
 from __future__ import annotations
@@ -264,7 +265,11 @@ def main(argv=None) -> int:
     except LattiminError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as e:
+        print(f"error: cannot write the report: {e}", file=sys.stderr)
+        return 2
     return code
 
 

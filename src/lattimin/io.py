@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 
 import numpy as np
 
-from .errors import LattiminError
+from .errors import LattiminError, TooLarge
 from .lattice import Lattice, Poset, build_lattice, downset_lattice, row_lists
 from .preference import WeakOrder
 from .representation import Representation
@@ -18,9 +19,17 @@ class FormatError(LattiminError):
     """Input file is malformed; message carries a position when available."""
 
 
+# Largest input file, in bytes, refused before json.load parses it.
+MAX_FILE_BYTES = 32 << 20
+
+
 def load_json(path) -> dict:
+    """The JSON object in the file at path; FormatError if it cannot be read
+    or is not an object, TooLarge if it has more than MAX_FILE_BYTES bytes."""
     try:
         with open(path) as fh:
+            if (size := os.fstat(fh.fileno()).st_size) > MAX_FILE_BYTES:
+                raise TooLarge(f"{path}: {size} bytes, over the input budget of {MAX_FILE_BYTES}")
             d = json.load(fh)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e

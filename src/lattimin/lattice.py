@@ -20,6 +20,9 @@ BLOCK_ELEMENTS = 1 << 20
 # Most elements of a down-set lattice: the down-sets of a 12-element antichain.
 # At 8192 elements its two intp tables alone would take 1 GiB.
 MAX_ELEMENTS = 4096
+# Most points of a Poset, refused before any work: its down-sets are
+# enumerated over all 2^n subsets.
+MAX_POSET_ELEMENTS = 16
 
 
 def _freeze(table) -> np.ndarray:
@@ -28,8 +31,10 @@ def _freeze(table) -> np.ndarray:
     return arr
 
 
-def _size_then_mask(m: int) -> tuple[int, int]:
-    return bin(m).count("1"), m
+def size_mask_order(M: np.ndarray) -> np.ndarray:
+    """The row indices of a boolean matrix in the canonical set order: by
+    size, then by mask, where column i is bit i; equal rows keep their order."""
+    return np.lexsort(np.vstack([M.T, M.sum(1)]))
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,8 @@ class Poset:
     covers: tuple = ()
 
     def __post_init__(self):
+        if self.n > MAX_POSET_ELEMENTS:
+            raise TooLarge(f"posets capped at {MAX_POSET_ELEMENTS} elements, got {self.n}")
         object.__setattr__(
             self, "covers", tuple((int(a), int(b)) for a, b in self.covers)
         )
@@ -77,14 +84,13 @@ class Poset:
 
     def downset_masks(self) -> list[int]:
         """All down-closed subsets as bitmasks, sorted by (size, mask)."""
-        if self.n > 16:
-            raise TooLarge(f"down-set enumeration capped at 16 elements, got {self.n}")
         bit = 1 << np.arange(self.n)
         down = bit @ self.leq  # down[i]: the points <= i
         m = np.arange(1 << self.n)[:, None]
+        inside = (m & bit).astype(bool)
         # m is closed iff no point of m has a point below it outside m
-        closed = ~((m & bit).astype(bool) & ((m & down) != down)).any(1)
-        return sorted(m[closed, 0].tolist(), key=_size_then_mask)
+        closed = ~(inside & ((m & down) != down)).any(1)
+        return m[closed, 0][size_mask_order(inside[closed])].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +191,6 @@ class Lattice:
 
     def elements(self) -> range:
         return range(self.n)
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
 
 
 def _row_blocks(n: int):

@@ -27,7 +27,9 @@ from .lattice import (
     class_ids,
     membership,
     row_class_ids,
+    row_lists,
     row_sets,
+    size_mask_order,
 )
 from .preference import (
     WeakOrder,
@@ -63,10 +65,8 @@ class Congruence:
 
     @property
     def representatives(self) -> tuple[int, ...]:
-        reps = {}
-        for a, c in enumerate(self.classes):
-            reps.setdefault(c, a)
-        return tuple(reps[c] for c in range(self.num_classes))
+        """The least element of each class, in class order."""
+        return tuple(np.unique(self.classes, return_index=True)[1].tolist())
 
     def members(self, c: int) -> frozenset:
         return frozenset(a for a, k in enumerate(self.classes) if k == c)
@@ -130,25 +130,24 @@ def congruence_beta_dprime(L: Lattice, I) -> Congruence:
     return C
 
 
+def _class_lattice(L: Lattice, cls: np.ndarray, reps, labels=None) -> Lattice:
+    """L/θ for the congruence θ with class id cls[a] per element a: its
+    element c is class c, and reps holds one element of each class, in class
+    order."""
+    ix = np.ix_(reps, reps)
+    return build_lattice(cls[L.meet[ix]], cls[L.join[ix]], cls[L.bottom], cls[L.top], labels)
+
+
 def quotient(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
     """Quotient lattice over class representatives plus the projection hom."""
     C = congruence_from_classes(L, C.classes)
-    cls, reps = np.asarray(C.classes), list(C.representatives)
-    labels = None
-    if L.labels is not None:
-        names: list = [[] for _ in reps]
-        for a, c in enumerate(C.classes):
-            names[c].append(L.labels[a])
-        labels = tuple("|".join(m) for m in names)
-    Q = build_lattice(
-        cls[L.meet[np.ix_(reps, reps)]],
-        cls[L.join[np.ix_(reps, reps)]],
-        C.cls(L.bottom),
-        C.cls(L.top),
-        labels,
+    cls = np.asarray(C.classes)
+    labels = None if L.labels is None else tuple(
+        "|".join(L.labels[a] for a in members)
+        for members in row_lists(cls == np.arange(C.num_classes)[:, None])
     )
-    h = LatticeHom(L, Q, C.classes)
-    return Q, h
+    Q = _class_lattice(L, cls, C.representatives, labels)
+    return Q, LatticeHom(L, Q, C.classes)
 
 
 def kernel(h: LatticeHom) -> Congruence:
@@ -244,25 +243,6 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     return Representation(S.member.shape[0], S.member.T[list(h.mapping)], fwd.ranks)
 
 
-def _image_lattice(
-    L: Lattice, sigma: np.ndarray, ids: np.ndarray
-) -> tuple[Lattice, np.ndarray]:
-    """The image of the powerset hom sigma, whose rows have the class ids
-    ids, as a lattice L/ker sigma: the distinct rows sorted by (size,
-    point_mask), with L's tables on one representative per row.  Also the
-    image element of each element of L."""
-    _, first = np.unique(ids, return_index=True)  # one element per distinct row
-    rows = sigma[first]
-    # np.lexsort's last key is the primary one: size, then the last column
-    order = np.lexsort(np.vstack([rows.T, rows.sum(1)]))
-    reps = first[order]
-    cls = np.empty_like(order)
-    cls[order] = np.arange(order.size)
-    cls = cls[ids]
-    tables = (cls[T[reps[:, None], reps]] for T in (L.meet, L.join))
-    return build_lattice(*tables, 0, reps.size - 1), cls
-
-
 @dataclass(frozen=True)
 class Refutation:
     """Witness that a factoring homomorphism is ill-defined."""
@@ -292,8 +272,15 @@ def factor_check(
     split = (other[:, None] == other) & (least[:, None] != least)
     if split.any():
         return Refutation(divmod(int(split.argmax()), L.n))
-    src, src_cls = _image_lattice(L, R_other.sigma, other)
-    dst, dst_cls = _image_lattice(L, R_min.sigma, least)
+    images = []
+    for sigma, ids in ((R_other.sigma, other), (R_min.sigma, least)):
+        # the image lattice L/ker sigma, its elements the distinct rows in
+        # (size, mask) order
+        _, first = np.unique(ids, return_index=True)  # one element per row
+        order = size_mask_order(sigma[first])
+        cls = np.argsort(order)[ids]
+        images.append((_class_lattice(L, cls, first[order]), cls))
+    (src, src_cls), (dst, dst_cls) = images
     mapping = np.zeros(src.n, dtype=np.intp)
     mapping[src_cls] = dst_cls
     hom = LatticeHom(src, dst, tuple(mapping))

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooLarge
-from .lattice import Lattice, _is_set_hom, row_sets
+from .lattice import Lattice, _is_set_hom, row_sets, size_mask_order
 
 
 def point_mask(points) -> int:
@@ -84,8 +84,10 @@ class SpectralSpace:
 
     @cached_property
     def basis(self) -> tuple:
-        """Distinct sigma-images, the base of the finite spectral topology."""
-        return tuple(sorted(set(self.sigma_table), key=lambda s: (len(s), point_mask(s))))
+        """Distinct sigma-images, the base of the finite spectral topology,
+        in (size, mask) order."""
+        rows = np.unique(self.member.T, axis=0)
+        return row_sets(rows[size_mask_order(rows)])
 
 
 def enumerate_prime_filters(L: Lattice) -> SpectralSpace:
@@ -173,14 +175,16 @@ def finite_topology_report(S: SpectralSpace) -> TopologyReport:
     """Materialize the topology generated by the sigma-image.
 
     Closure under union is exponential in the point count, so this is capped
-    at 16 points.
+    at 16 points.  S must be a lattice's spectrum, so that the sigma-image is
+    closed under ∩ and ∪: then the union closure is the topology, and
+    it is Hausdorff iff discrete (a finite Hausdorff space is T1, a finite
+    T1 space is discrete), i.e. iff every singleton is open.
     """
     p = len(S.points)
     if p > 16:
         raise TooLarge(f"topology materialization capped at 16 points, got {p}")
     full = (1 << p) - 1
-    base = sorted({point_mask(b) for b in S.basis})
-    opens = {0} | set(base)
+    opens = {0} | {point_mask(b) for b in S.basis}
     frontier = list(opens)
     while frontier:
         u = frontier.pop()
@@ -189,18 +193,7 @@ def finite_topology_report(S: SpectralSpace) -> TopologyReport:
             if w not in opens:
                 opens.add(w)
                 frontier.append(w)
-
-    def separated(i, j):
-        return any(
-            u >> i & 1 and not u >> j & 1 and v >> j & 1 and not v >> i & 1 and not u & v
-            for u in opens
-            for v in opens
-        )
-
-    hausdorff = all(separated(i, j) for i in range(p) for j in range(p) if i != j)
-    open_sets = tuple(
-        frozenset(i for i in range(p) if m >> i & 1)
-        for m in sorted(opens, key=lambda m: (bin(m).count("1"), m))
-    )
+    hausdorff = all(1 << i in opens for i in range(p))
+    O = (np.array(list(opens))[:, None] >> np.arange(p) & 1).astype(bool)
     closed = tuple((full ^ point_mask(b)) in opens for b in S.basis)
-    return TopologyReport(open_sets, hausdorff, S.basis, closed)
+    return TopologyReport(row_sets(O[size_mask_order(O)]), hausdorff, S.basis, closed)

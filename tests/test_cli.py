@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from lattimin import cli
+from lattimin import cli, io as io_module
 from lattimin.cli import main
 from lattimin.fixtures import CHAIN3, M3, N5, chain
 from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
 from lattimin.preference import WeakOrder
 from lattimin.representation import derive_pref_from_rep, minimal_representation
+from lattimin.spectrum import enumerate_prime_filters, finite_topology_report
 from lattimin.testkit import (
+    all_posets,
     duplicate_outcome,
     random_distributive_lattice,
     random_poset,
@@ -206,6 +208,59 @@ def pipeline_reports(tmp_path) -> bytes:
             case[verb] = json.loads(report.read_text()) if code != 2 else None
         out.append(case)
     return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestSpectrumGolden:
+    """The set orders of the spectrum layer, pinned byte for byte: the
+    `lattimin spectrum` report of every pipeline case, and the basis and
+    finite topology of the down-set lattice of every poset on at most 4
+    points and of seeded 6-point posets."""
+
+    def test_reports_match_golden_file(self, tmp_path):
+        golden = GOLDEN / "spectrum_reports.json"
+        assert spectrum_reports(tmp_path) == golden.read_bytes()
+
+    def test_golden_cases_cover_both_hausdorff_verdicts(self):
+        doc = json.loads((GOLDEN / "spectrum_reports.json").read_text())
+        assert len(doc["spectrum"]) == 20
+        assert all(c["exit"] == 0 for c in doc["spectrum"])
+        verdicts = [c["hausdorff"] for c in doc["topology"]]
+        assert verdicts.count(True) == 5 and verdicts.count(False) == 258  # 5 antichains
+
+
+def topology_posets():
+    """Named posets: all of them on 0 to 4 points, then 20 seeded 6-point ones."""
+    for k in range(5):
+        for i, P in enumerate(all_posets(k)):
+            yield f"all{k}-{i}", P
+    for seed in range(20):
+        yield f"seed{seed}-6", random_poset(6, random.Random(seed))
+
+
+def spectrum_reports(tmp_path) -> bytes:
+    """The `lattimin spectrum` exit code and report of every pipeline case,
+    and the basis, open sets, Hausdorff verdict and clopen flags of every
+    topology poset's down-set lattice, as one JSON document."""
+    spectra = []
+    for name, lattice, _, _ in pipeline_inputs():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(lattice))
+        report = tmp_path / f"{name}.spectrum.json"
+        code = main(["spectrum", "--lattice", str(path), "--out", str(report)])
+        spectra.append({"case": name, "exit": code, "report": json.loads(report.read_text())})
+    topologies = []
+    for name, P in topology_posets():
+        S = enumerate_prime_filters(downset_lattice(P))
+        top = finite_topology_report(S)
+        topologies.append({
+            "case": name,
+            "basis": [sorted(b) for b in S.basis],
+            "open_sets": [sorted(o) for o in top.open_sets],
+            "hausdorff": top.hausdorff,
+            "basis_closed": list(top.basis_closed),
+        })
+    doc = {"spectrum": spectra, "topology": topologies}
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestParserReuse:
@@ -459,6 +514,54 @@ class TestInputErrors:
         assert "capped at 4096 elements" in capsys.readouterr().err
 
 
+    def test_large_poset_refused_before_the_closure(self, tmp_path, monkeypatch, capsys):
+        def closure(self):
+            pytest.fail("the closure was computed")
+
+        monkeypatch.setattr(Poset, "leq", property(closure))
+        path = tmp_path / "antichain1500.json"
+        path.write_text(json.dumps({"poset": {"n": 1500, "covers": []}}))
+        assert main(["spectrum", "--lattice", str(path)]) == 2
+        assert capsys.readouterr().err == "error: posets capped at 16 elements, got 1500\n"
+
+
+class TestByteBudget:
+    """An input file larger than io.MAX_FILE_BYTES is refused with exit 2
+    before it is parsed."""
+
+    def test_budget_fits_the_largest_benchmark_inputs(self):
+        # the C1024 and B10 ladder files take about 10.3 MB and 9.9 MB
+        assert io_module.MAX_FILE_BYTES == 32 << 20 >= 3 * 10_300_000
+
+    @pytest.mark.parametrize("kind", ["lattice", "pref"])
+    def test_boundary(self, chain3_file, w3_file, tmp_path, monkeypatch, capsys, kind):
+        files = {"lattice": chain3_file, "pref": w3_file}
+        text = pathlib.Path(files[kind]).read_text()
+        budget = max(len(pathlib.Path(f).read_text()) for f in files.values()) + 4
+        monkeypatch.setattr(io_module, "MAX_FILE_BYTES", budget)
+        path = tmp_path / f"{kind}.json"
+        files[kind] = str(path)
+        argv = ["axioms", "--lattice", files["lattice"], "--pref", files["pref"]]
+        path.write_text(text.ljust(budget))
+        assert run(argv, capsys)[0] == 1  # w3 breaks axiom 3
+        path.write_text(text.ljust(budget + 1))
+
+        load = io_module.json.load
+
+        def parse(fh):
+            if fh.name == str(path):
+                pytest.fail("an over-budget file was parsed")
+            return load(fh)
+
+        monkeypatch.setattr(io_module.json, "load", parse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: {budget + 1} bytes, over the input budget of {budget}\n"
+        )
+
+
 class TestIntegerRange:
     """Every integer read from a file lies in the open range (-2**62, 2**62);
     one outside it exits 2 with a message, whichever verb reads it."""
@@ -552,6 +655,29 @@ class TestInternalError:
         with pytest.raises(SystemExit) as exit_:
             cli.entrypoint(["validate", "--lattice", chain3_file])
         assert exit_.value.code == 0
+
+
+class TestUnwritableReport:
+    """A report that cannot be written exits 2 with one line, from main and
+    from the program alike."""
+
+    @pytest.fixture(params=["missing-dir", "directory"])
+    def out(self, request, tmp_path):
+        return tmp_path / "missing" / "x.json" if request.param == "missing-dir" else tmp_path
+
+    def test_main_exits_2(self, chain3_file, out, capsys):
+        assert main(["validate", "--lattice", chain3_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write the report: [Errno ")
+        assert captured.err.endswith(f"'{out}'\n") and captured.err.count("\n") == 1
+
+    def test_program_exits_2(self, chain3_file, out, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint(["spectrum", "--lattice", chain3_file, "--out", str(out)])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot write the report:")
 
 
 class TestFuzz:

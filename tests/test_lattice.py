@@ -29,6 +29,7 @@ from lattimin.lattice import (
     Lattice,
     _scan_laws,
     compose,
+    size_mask_order,
 )
 from lattimin.testkit import random_distributive_lattice, random_poset
 
@@ -311,6 +312,55 @@ class TestDownsetLattice:
             Poset(2, [(0, 1), (1, 0)])
         with pytest.raises(PosetCyclic):
             Poset(2, [(1, 1)])
+
+
+class TestPosetCap:
+    """A poset with more than MAX_POSET_ELEMENTS points is refused before
+    its transitive closure is computed."""
+
+    def test_refused_before_the_closure(self, monkeypatch):
+        def closure(self):
+            pytest.fail("the closure was computed")
+
+        monkeypatch.setattr(Poset, "leq", property(closure))
+        for n in (17, 1500):
+            with pytest.raises(TooLarge, match=f"capped at 16 elements, got {n}"):
+                Poset(n)
+
+    def test_boundary(self):
+        assert lattice_module.MAX_POSET_ELEMENTS == 16
+        assert Poset(16, [(0, 1)]).leq.sum() == 17
+        with pytest.raises(TooLarge):
+            Poset(17)
+
+
+class TestSizeMaskOrder:
+    """size_mask_order sorts the rows of a boolean matrix by (popcount,
+    mask) with column i as bit i, equal rows in index order."""
+
+    @staticmethod
+    def key_sort(M):
+        masks = [sum(1 << int(i) for i in np.flatnonzero(row)) for row in M]
+        return sorted(range(len(masks)), key=lambda r: (bin(masks[r]).count("1"), masks[r]))
+
+    def test_small_example(self):
+        # masks 4, 3, 4, 0, 2: size before mask, equal rows in index order
+        M = np.array([[0, 0, 1], [1, 1, 0], [0, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=bool)
+        assert size_mask_order(M).tolist() == [3, 4, 0, 2, 1]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (5, 0), (1, 6), (40, 1), (60, 4),
+                                       (200, 9), (30, 70)])
+    def test_matches_key_sort(self, shape):
+        rng = np.random.default_rng(shape[0] * 101 + shape[1])
+        for density in (0.1, 0.5, 0.9):
+            M = rng.random(shape) < density
+            assert size_mask_order(M).tolist() == self.key_sort(M)
+
+    def test_downset_masks_are_key_sorted(self):
+        rng = random.Random(3)
+        for P in [random_poset(rng.randint(1, 6), rng) for _ in range(40)]:
+            masks = P.downset_masks()
+            assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
 
 
 class TestLatticeFromOrder:

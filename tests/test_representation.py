@@ -143,6 +143,18 @@ class TestBetaDoublePrime:
         assert {"congruence", "meet", "join"} <= outcomes
 
 
+class TestRepresentatives:
+    def test_least_element_of_each_class(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            perm = rng.sample(range(k), k)  # class ids need not follow first appearance
+            classes = [perm[c] for c in range(k)] + [rng.randrange(k) for _ in range(10)]
+            rng.shuffle(classes)
+            expected = tuple(classes.index(c) for c in range(k))
+            assert Congruence(classes).representatives == expected
+
+
 class TestQuotient:
     def test_identity_congruence(self):
         Q, h = quotient(CHAIN3, Congruence((0, 1, 2)))

@@ -22,8 +22,8 @@ from lattimin import (
 from lattimin import duality_equivalence_report, lattice as lattice_module
 from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3
 from lattimin.lattice import Poset, downset_lattice, membership
-from lattimin.spectrum import SpectralSpace, ideal_witness, is_powerset_hom
-from lattimin.testkit import powerset_hom_by_loop, random_distributive_lattice
+from lattimin.spectrum import SpectralSpace, ideal_witness, is_powerset_hom, point_mask
+from lattimin.testkit import all_posets, powerset_hom_by_loop, random_distributive_lattice
 
 from conftest import random_tables
 
@@ -369,6 +369,27 @@ class TestFiniteTopology:
         rep = finite_topology_report(enumerate_prime_filters(B2))
         assert rep.hausdorff
         assert len(rep.open_sets) == 4
+
+    def test_hausdorff_matches_pairwise_search(self):
+        """The singleton rule against the definition: every two points lie in
+        disjoint open sets, one each."""
+
+        def separated(opens, i, j):
+            return any(u >> i & 1 and not u >> j & 1 and v >> j & 1 and not v >> i & 1
+                       and not u & v for u in opens for v in opens)
+
+        lattices = [downset_lattice(P) for k in range(5) for P in all_posets(k)]
+        lattices += [random_distributive_lattice(6, seed) for seed in range(40)]
+        verdicts = collections.Counter()
+        for L in lattices:
+            S = enumerate_prime_filters(L)
+            rep = finite_topology_report(S)
+            opens = {point_mask(o) for o in rep.open_sets}
+            p = len(S.points)
+            expected = all(separated(opens, i, j) for i in range(p) for j in range(p) if i != j)
+            assert rep.hausdorff == expected
+            verdicts[expected] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 200, verdicts
 
     def test_boolean_basis_is_clopen(self):
         for L in (CHAIN2, B2, B3):
