@@ -33,7 +33,8 @@ def dual_forward(L: Lattice, S: SpectralSpace, W: WeakOrder) -> WeakOrder:
 
     A point ranks by its best member.  The best member under W is the worst
     member under -W, so the checked worst-rank evaluator serves both
-    directions.
+    directions.  L is not read: S may be the spectrum of a quotient of L,
+    with W given on that quotient's elements.
     """
     worst = checked_worst_ranks(S.member, [-r for r in W.ranks])
     return WeakOrder(dense_ranks(-w for w in worst))

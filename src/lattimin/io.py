@@ -99,13 +99,25 @@ def _walk_ints(value, name: str, depth: int):
     return value
 
 
+def _labels(value, n: int):
+    """value if it is null or a list of n strings, else FormatError saying why."""
+    if value is not None:
+        if type(value) is not list:
+            raise FormatError(f"labels: expected a list of strings or null, got {json.dumps(value)}")
+        if bad := [v for v in value if type(v) is not str]:
+            raise FormatError(f"labels: {json.dumps(bad[0])} is not a string")
+        if len(value) != n:
+            raise FormatError(f"labels: {len(value)} labels for {n} elements")
+    return value
+
+
 def lattice_from_dict(d, validate=True) -> Lattice:
     """Build a lattice from its JSON dict.
 
-    Every table entry must be a JSON integer.  With validate=False the
-    tables are loaded as-is so callers can inspect law violations
-    themselves.  The poset form stands for the lattice of its down-sets,
-    which is lawful by construction.
+    Every table entry must be a JSON integer, and labels, if given, one
+    JSON string per element.  With validate=False the tables are loaded
+    as-is so callers can inspect law violations themselves.  The poset form
+    stands for the lattice of its down-sets, which is lawful by construction.
     """
     if "poset" in d:
         p = d["poset"]
@@ -120,7 +132,7 @@ def lattice_from_dict(d, validate=True) -> Lattice:
             _table(d["join"], "join"),
             _ints(d["bottom"], "bottom"),
             _ints(d["top"], "top"),
-            d.get("labels"),
+            _labels(d.get("labels"), len(d["meet"])),  # a list: _table read it
         )
         return build_lattice(*args) if validate else Lattice(*args)
     except KeyError as e:

@@ -174,10 +174,7 @@ class Lattice:
         LawViolation if the tables are not a distributive lattice."""
         from .spectrum import SpectralSpace  # spectrum imports this module
 
-        member = self.leq_table[_certify(self)]  # row i: the up-set of J[i]
-        member = member[np.lexsort(member.T)]  # ascending point_mask: last element first
-        member.setflags(write=False)  # shared by every caller
-        return SpectralSpace(member)
+        return SpectralSpace(self.leq_table[_certify(self)])  # row i: the up-set of J[i]
 
     def leq(self, a: int, b: int) -> bool:
         """a <= b in the canonical order, i.e. a == a meet b."""

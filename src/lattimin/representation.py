@@ -1,9 +1,10 @@
 """Congruences, quotients, and the minimal maximin representation.
 
-The synthesis pipeline quotients by the indifference-to-bottom ideal using
-the coarse trivializer congruence when Axiom 3 holds, and falls back to the
-fine bounded-perturbation congruence when it does not; both paths yield
-verifiable representations.
+The synthesis pipeline takes a congruence θ whose bottom class is the
+indifference-to-bottom ideal: the coarse trivializer congruence when Axiom 3
+holds, the fine bounded-perturbation congruence when it does not; both paths
+yield verifiable representations.  Its states are the prime filters of L/θ,
+read off L's own spectrum, so it builds no quotient lattice.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .preference import (
     first_disagreement,
     zero_class,
 )
-from .spectrum import enumerate_prime_filters, ideal_witness, is_powerset_hom
+from .spectrum import SpectralSpace, enumerate_prime_filters, ideal_witness, is_powerset_hom
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,9 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
 
     Axioms 1-2 are mandatory (AxiomViolation otherwise).  Axiom 3 selects the
     coarse trivializer congruence; when it fails the fine congruence is used
-    instead, which still yields a verifiable representation.
+    instead, which still yields a verifiable representation.  The states are
+    the prime filters of L/θ: by Birkhoff duality, L's prime filters that are
+    unions of θ-classes, each read on one representative per class.
     """
     from .duality import dual_forward  # local import to avoid a cycle
 
@@ -227,20 +230,16 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     if v1 or v2:
         raise AxiomViolation({"axiom1": v1, "axiom2": v2})
     I = zero_class(L, W).members
-    v3 = check_axiom3(L, W)
-    if v3:
-        C = congruence_beta_prime(L, I)
-    else:
-        C = congruence_beta_dprime(L, I)
-    Q, h = quotient(L, C)
-    reps = C.representatives
-    for a in range(L.n):
-        if W.ranks[a] != W.ranks[reps[C.cls(a)]]:
-            raise AxiomViolation({"congruence-indifference": [(a, reps[C.cls(a)])]})
-    WQ = WeakOrder(tuple(W.ranks[reps[c]] for c in range(C.num_classes)))
-    S = enumerate_prime_filters(Q)
-    fwd = dual_forward(Q, S, WQ)
-    return Representation(S.member.shape[0], S.member.T[list(h.mapping)], fwd.ranks)
+    C = (congruence_beta_prime if check_axiom3(L, W) else congruence_beta_dprime)(L, I)
+    cls, reps, ranks = np.asarray(C.classes), np.asarray(C.representatives), np.asarray(W.ranks)
+    bad = np.flatnonzero(ranks != ranks[reps[cls]])
+    if bad.size:
+        a = int(bad[0])
+        raise AxiomViolation({"congruence-indifference": [(a, int(reps[cls[a]]))]})
+    member = enumerate_prime_filters(L).member  # rows kept: the θ-saturated ones
+    S = SpectralSpace(member[(member == member[:, reps[cls]]).all(1)][:, reps])
+    fwd = dual_forward(L, S, WeakOrder(ranks[reps]))
+    return Representation(S.member.shape[0], S.member.T[cls], fwd.ranks)
 
 
 @dataclass(frozen=True)

@@ -65,10 +65,15 @@ def classify_subset(L: Lattice, S) -> SubsetClassification:
 @dataclass(frozen=True, eq=False)
 class SpectralSpace:
     """Prime filters of a lattice as one read-only boolean matrix: member[i, a]
-    iff point i contains element a, points in canonical (point_mask) order.
-    Column a is sigma(a); the frozensets are views built on first use."""
+    iff point i contains element a, its rows put in canonical (point_mask)
+    order here.  Column a is sigma(a); the frozensets are views built on use."""
 
     member: np.ndarray
+
+    def __post_init__(self):
+        member = self.member[np.lexsort(self.member.T)]  # the last element is most significant
+        member.setflags(write=False)  # shared by every caller
+        object.__setattr__(self, "member", member)
 
     @cached_property
     def points(self) -> tuple:
@@ -91,13 +96,10 @@ class SpectralSpace:
 
 
 def enumerate_prime_filters(L: Lattice) -> SpectralSpace:
-    """All prime filters, sorted by bitset value for determinism.
-
-    By Birkhoff's theorem the prime filters of a finite distributive lattice
-    are the up-sets of its join-irreducibles, which the law certificate
-    (``Lattice.birkhoff``) finds.  The result is computed once per lattice
-    and shared (``Lattice.spectrum``); LawViolation if L is not lawful.
-    """
+    """All prime filters in point_mask order: by Birkhoff's theorem the up-sets
+    of the join-irreducibles that the law certificate (``Lattice.birkhoff``)
+    finds.  Computed once per lattice and shared (``Lattice.spectrum``);
+    LawViolation if L is not lawful."""
     return L.spectrum
 
 
@@ -172,28 +174,14 @@ class TopologyReport:
 
 
 def finite_topology_report(S: SpectralSpace) -> TopologyReport:
-    """Materialize the topology generated by the sigma-image.
+    """The topology generated by the sigma-image of S, a lattice's spectrum.
 
-    Closure under union is exponential in the point count, so this is capped
-    at 16 points.  S must be a lattice's spectrum, so that the sigma-image is
-    closed under ∩ and ∪: then the union closure is the topology, and
-    it is Hausdorff iff discrete (a finite Hausdorff space is T1, a finite
-    T1 space is discrete), i.e. iff every singleton is open.
-    """
-    p = len(S.points)
-    if p > 16:
-        raise TooLarge(f"topology materialization capped at 16 points, got {p}")
-    full = (1 << p) - 1
-    opens = {0} | {point_mask(b) for b in S.basis}
-    frontier = list(opens)
-    while frontier:
-        u = frontier.pop()
-        for v in list(opens):
-            w = u | v
-            if w not in opens:
-                opens.add(w)
-                frontier.append(w)
-    hausdorff = all(1 << i in opens for i in range(p))
-    O = (np.array(list(opens))[:, None] >> np.arange(p) & 1).astype(bool)
-    closed = tuple((full ^ point_mask(b)) in opens for b in S.basis)
-    return TopologyReport(row_sets(O[size_mask_order(O)]), hausdorff, S.basis, closed)
+    That image holds ∅ (sigma of bottom) and is closed under ∪ (sigma of a
+    join), so the open sets are the basis.  The space is Hausdorff iff discrete
+    (a finite Hausdorff space is T1, a finite T1 space is discrete), i.e. iff
+    every singleton is open."""
+    opens = set(S.basis)
+    full = frozenset(range(len(S.points)))
+    hausdorff = all(frozenset({i}) in opens for i in full)
+    closed = tuple(full - b in opens for b in S.basis)
+    return TopologyReport(S.basis, hausdorff, S.basis, closed)

@@ -453,6 +453,30 @@ class TestInputErrors:
         assert main(["validate", "--lattice", str(path)]) == 2
         assert "is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["validate", "spectrum"])
+    @pytest.mark.parametrize("labels, message", [
+        ("ab", 'expected a list of strings or null, got "ab"'),
+        ({"x": 1, "y": 2}, 'expected a list of strings or null, got {"x": 1, "y": 2}'),
+        ([1, None], "1 is not a string"),
+        (7, "expected a list of strings or null, got 7"),
+        (["a", "b"], "2 labels for 3 elements"),
+        (["a", "b", "c", "d"], "4 labels for 3 elements"),
+    ])
+    def test_bad_labels(self, tmp_path, capsys, verb, labels, message):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({**lattice_to_dict(CHAIN3), "labels": labels}))
+        assert main([verb, "--lattice", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: labels: {message}\n"
+
+    @pytest.mark.parametrize("labels", [None, ["0", "1/2", "1"], "absent"])
+    def test_good_labels(self, tmp_path, capsys, labels):
+        d = {**lattice_to_dict(CHAIN3), "labels": labels}
+        if labels == "absent":
+            del d["labels"]
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", "--lattice", str(path)]) == 0
+
     def test_non_integer_rank(self, chain3_file, tmp_path, capsys):
         pref = tmp_path / "float.json"
         pref.write_text(json.dumps({"ranks": [0, 1.7, 2]}))

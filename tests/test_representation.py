@@ -1,3 +1,4 @@
+import collections
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from lattimin import (
     WeakOrder,
     check_axiom1,
     check_axiom2,
+    check_axiom3,
     check_hom,
     congruence_beta_dprime,
     congruence_beta_prime,
@@ -26,19 +28,23 @@ from lattimin import (
     quotient,
     verify_representation,
 )
-from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
-from lattimin.lattice import Poset, downset_lattice
+from lattimin import representation as representation_module
+from lattimin.duality import dual_forward
+from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3, chain
+from lattimin.lattice import Poset, build_lattice, downset_lattice
 from lattimin.preference import zero_class
-from lattimin.spectrum import classify_subset, point_mask
+from lattimin.spectrum import classify_subset, enumerate_prime_filters, point_mask
 from lattimin.representation import (
     check_representation_hom,
     congruence_from_classes,
     kernel,
 )
 from lattimin.testkit import (
+    all_posets,
     congruence_by_loop,
     derived_weak_order,
     duplicate_outcome,
+    enumerate_weak_orders,
     kernel_split_by_loop,
     quotient_by_loop,
     random_distributive_lattice,
@@ -259,6 +265,80 @@ class TestMinimalRepresentation:
         assert R.outcome_count == 0
         ok, _ = verify_representation(B2, WeakOrder((0, 0, 0, 0)), R)
         assert ok
+
+
+def minimal_representation_by_quotient(L, W):
+    """The synthesis written out over a built L/θ: quotient, L/θ's own
+    spectrum, and dual_forward on L/θ."""
+    C = (congruence_beta_prime if check_axiom3(L, W) else congruence_beta_dprime)(
+        L, zero_class(L, W).members)
+    Q, h = quotient(L, C)
+    S = enumerate_prime_filters(Q)
+    fwd = dual_forward(Q, S, WeakOrder([W.ranks[r] for r in C.representatives]))
+    return Representation(len(S.points), S.member.T[list(h.mapping)], fwd.ranks)
+
+
+def permuted(L, rng):
+    """L with its elements renumbered by a random permutation."""
+    perm = np.array(rng.sample(range(L.n), L.n))
+    inv = np.argsort(perm)
+    return build_lattice(perm[L.meet[np.ix_(inv, inv)]], perm[L.join[np.ix_(inv, inv)]],
+                         perm[L.bottom], perm[L.top])
+
+
+class TestSynthesisOracle:
+    """minimal_representation reads L/θ's states off L's spectrum; the
+    quotient route must give the same representation, point order included."""
+
+    @staticmethod
+    def agree(L, W):
+        if check_axiom1(L, W) or check_axiom2(L, W):
+            return None
+        R = minimal_representation(L, W)
+        assert R == minimal_representation_by_quotient(L, W), (L.meet.tolist(), W.ranks)
+        return bool(check_axiom3(L, W))
+
+    def test_every_small_poset(self):
+        branches = collections.Counter()
+        for k in range(5):
+            for P in all_posets(k):
+                L = downset_lattice(P)
+                orders = ([WeakOrder(r) for r in enumerate_weak_orders(L.n)] if L.n <= 5
+                          else [derived_weak_order(L, seed) for seed in range(4)])
+                for W in orders:
+                    branches[self.agree(L, W)] += 1
+        assert branches[True] >= 50 and branches[False] >= 500, branches
+
+    def test_permuted_lattices(self):
+        rng = random.Random(10)
+        branches = collections.Counter()
+        for seed in range(400):
+            L = permuted(random_distributive_lattice(5, seed), rng)
+            branches[self.agree(L, derived_weak_order(L, seed))] += 1
+        assert branches[True] >= 20 and branches[False] >= 200, branches
+
+    def test_indifference_check_reports_first_witness(self, monkeypatch):
+        """A congruence whose classes mix ranks is refused, naming the first
+        element ranked apart from its class representative."""
+        L, W = chain(5), WeakOrder((0, 1, 2, 3, 4))
+        C = Congruence((0, 0, 1, 1, 2))
+        for name in ("congruence_beta_prime", "congruence_beta_dprime"):
+            monkeypatch.setattr(representation_module, name, lambda L, I: C)
+        with pytest.raises(AxiomViolation) as e:
+            minimal_representation(L, W)
+        assert e.value.violations == {"congruence-indifference": [(1, 0)]}
+
+    def test_no_quotient_lattice_is_built(self, monkeypatch):
+        lattices = [(L, derived_weak_order(L, seed))
+                    for seed, L in enumerate([CHAIN3, B2, *map(downset_lattice, all_posets(3))])]
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a lattice was built")
+
+        monkeypatch.setattr(representation_module, "quotient", refuse)
+        monkeypatch.setattr(representation_module, "build_lattice", refuse)
+        for L, W in lattices:
+            assert verify_representation(L, W, minimal_representation(L, W))[0]
 
 
 class TestDerivePref:

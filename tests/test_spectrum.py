@@ -20,7 +20,7 @@ from lattimin import (
     validate_laws,
 )
 from lattimin import duality_equivalence_report, lattice as lattice_module
-from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3
+from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3, chain
 from lattimin.lattice import Poset, downset_lattice, membership
 from lattimin.spectrum import SpectralSpace, ideal_witness, is_powerset_hom, point_mask
 from lattimin.testkit import all_posets, powerset_hom_by_loop, random_distributive_lattice
@@ -282,6 +282,12 @@ class TestIsPowersetHom:
 class TestSpectralSpaceForm:
     """The spectrum is one read-only matrix; its frozensets are views."""
 
+    def test_rows_put_in_point_mask_order(self):
+        rows = np.array([[1, 1, 1], [0, 0, 1], [0, 1, 1], [1, 0, 1]], dtype=bool)
+        S = SpectralSpace(rows)
+        assert [point_mask(F) for F in S.points] == [4, 5, 6, 7]
+        assert not S.member.flags.writeable and rows.flags.writeable
+
     def test_lattice_freed_without_a_collection(self):
         gc.disable()
         try:
@@ -371,8 +377,9 @@ class TestFiniteTopology:
         assert len(rep.open_sets) == 4
 
     def test_hausdorff_matches_pairwise_search(self):
-        """The singleton rule against the definition: every two points lie in
-        disjoint open sets, one each."""
+        """The open sets against the union closure of the basis, and the
+        singleton and complement rules against the definitions: Hausdorff iff
+        every two points lie in disjoint open sets, one each."""
 
         def separated(opens, i, j):
             return any(u >> i & 1 and not u >> j & 1 and v >> j & 1 and not v >> i & 1
@@ -384,12 +391,30 @@ class TestFiniteTopology:
         for L in lattices:
             S = enumerate_prime_filters(L)
             rep = finite_topology_report(S)
-            opens = {point_mask(o) for o in rep.open_sets}
+            opens = {0} | {point_mask(b) for b in S.basis}
+            frontier = list(opens)
+            while frontier:
+                u = frontier.pop()
+                for v in list(opens):
+                    if u | v not in opens:
+                        opens.add(u | v)
+                        frontier.append(u | v)
             p = len(S.points)
+            closure = sorted(opens, key=lambda m: (bin(m).count("1"), m))
+            assert [point_mask(o) for o in rep.open_sets] == closure
+            full = (1 << p) - 1
+            assert rep.basis_closed == tuple(full ^ point_mask(b) in opens for b in S.basis)
             expected = all(separated(opens, i, j) for i in range(p) for j in range(p) if i != j)
             assert rep.hausdorff == expected
             verdicts[expected] += 1
         assert verdicts[True] >= 10 and verdicts[False] >= 200, verdicts
+
+    def test_chain32_has_no_point_cap(self):
+        """31 points: the topology of a spectrum has no cap on its points."""
+        rep = finite_topology_report(enumerate_prime_filters(chain(32)))
+        assert [len(o) for o in rep.open_sets] == list(range(32))
+        assert not rep.hausdorff
+        assert rep.basis_closed == (True,) + (False,) * 30 + (True,)
 
     def test_boolean_basis_is_clopen(self):
         for L in (CHAIN2, B2, B3):
