@@ -190,10 +190,11 @@ class Lattice:
         return range(self.n)
 
 
-def _row_blocks(n: int):
-    """Slices of 0..n-1 whose n-by-n planes hold at most BLOCK_ELEMENTS
-    entries together (at least one row each)."""
-    rows = max(1, BLOCK_ELEMENTS // (n * n))
+def _row_blocks(n: int, width: Optional[int] = None):
+    """Slices of 0..n-1 whose rows of `width` entries each (default n * n,
+    an n-by-n plane) hold at most BLOCK_ELEMENTS entries together (at least
+    one row each)."""
+    rows = max(1, BLOCK_ELEMENTS // (n * n if width is None else width))
     return [slice(start, start + rows) for start in range(0, n, rows)]
 
 

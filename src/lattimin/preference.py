@@ -98,8 +98,7 @@ def _domain_mask(L: Lattice, domain) -> np.ndarray:
     if domain is None:
         return np.ones(L.n, dtype=bool)
     mask = np.zeros(L.n, dtype=bool)
-    for a in domain:
-        mask[a] = True
+    mask[list(domain)] = True
     return mask
 
 
@@ -111,19 +110,38 @@ def check_axiom1(L: Lattice, W: WeakOrder, domain=None) -> list:
     return [tuple(int(v) for v in w) for w in np.argwhere(bad)]
 
 
+def _axiom2_rows(L: Lattice, r: np.ndarray, dom: np.ndarray) -> np.ndarray:
+    """Rows a of check_axiom2's violating triples (a, a', b), as a bool mask.
+
+    c[x] counts the domain ranks <= r(x).  A domain b with
+    max(r(a), r(a')) < r(b) <= r(a | a') exists iff
+    c[a | a'] > max(c[a], c[a']), because c is monotone in r; the pair
+    (a, a') must lie in the domain, a | a' need not.  So the verdict costs
+    n^2 integer compares, evaluated over blocks of a, in place of n^3."""
+    c = np.searchsorted(np.sort(r[dom]), r, "right")
+    pair = np.where(dom, c, L.n)  # out of the domain: never below c[a | a']
+    rows = np.zeros(L.n, dtype=bool)
+    for s in _row_blocks(L.n, L.n):
+        rows[s] = (c[L.join[s]] > np.maximum(pair[s, None], pair)).any(1)
+    return rows
+
+
 def check_axiom2(L: Lattice, W: WeakOrder, domain=None) -> list:
     """Violating triples (a, a', b): a > b and a' > b but (a | a') not > b,
-    in lexicographic order.  Evaluated over blocks of a, so memory stays
-    O(BLOCK_ELEMENTS) however large n is."""
+    in lexicographic order.  The triples are scanned only on the rows a that
+    _axiom2_rows flags, in blocks of a, so memory stays O(BLOCK_ELEMENTS)
+    however large n is."""
     r = np.asarray(W.ranks)
     dom = _domain_mask(L, domain)
+    flagged = np.flatnonzero(_axiom2_rows(L, r, dom))
+    if not flagged.size:
+        return []
     strict = (r[:, None] < r[None, :]) & dom[:, None] & dom[None, :]
-    rj = r[L.join]
     out = []
-    for s in _row_blocks(L.n):
-        bad = strict[s, None, :] & strict[None, :, :] & (rj[s, :, None] >= r)
-        if bad.any():  # argwhere costs far more than any on a clean block
-            out += [(int(a) + s.start, int(a2), int(b)) for a, a2, b in np.argwhere(bad)]
+    for s in _row_blocks(flagged.size, L.n * L.n):
+        a = flagged[s]
+        bad = strict[a, None, :] & strict[None, :, :] & (r[L.join[a]][:, :, None] >= r)
+        out += [(int(a[i]), int(a2), int(b)) for i, a2, b in np.argwhere(bad)]
     return out
 
 
@@ -148,7 +166,11 @@ def check_axiom3(L: Lattice, W: WeakOrder) -> list:
 
 
 def axioms12_hold(L: Lattice, W: WeakOrder, domain=None) -> bool:
-    return not check_axiom1(L, W, domain) and not check_axiom2(L, W, domain)
+    """Whether axioms 1 and 2 hold on the domain; axiom 2 by its certificate
+    alone, without listing triples."""
+    if check_axiom1(L, W, domain):
+        return False
+    return not _axiom2_rows(L, np.asarray(W.ranks), _domain_mask(L, domain)).any()
 
 
 @dataclass(frozen=True)

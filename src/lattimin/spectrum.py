@@ -169,8 +169,7 @@ def ideal_witness(L: Lattice, I):
 class TopologyReport:
     open_sets: tuple  # frozensets of point indices, sorted by (size, mask)
     hausdorff: bool
-    basis_sets: tuple  # distinct basis sets in canonical order
-    basis_closed: tuple  # parallel bools: complement is open
+    basis_closed: tuple  # parallel to open_sets: its complement is open
 
 
 def finite_topology_report(S: SpectralSpace) -> TopologyReport:
@@ -184,4 +183,4 @@ def finite_topology_report(S: SpectralSpace) -> TopologyReport:
     full = frozenset(range(len(S.points)))
     hausdorff = all(frozenset({i}) in opens for i in full)
     closed = tuple(full - b in opens for b in S.basis)
-    return TopologyReport(S.basis, hausdorff, S.basis, closed)
+    return TopologyReport(S.basis, hausdorff, closed)

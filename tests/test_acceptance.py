@@ -70,7 +70,7 @@ def test_criterion_1_golden_three_chain(capsys):
     ok = ok and [sorted(o) for o in top.open_sets] == [[], [1], [0, 1]]
     ok = ok and not top.hausdorff
     singleton = frozenset({1})
-    ok = ok and not top.basis_closed[top.basis_sets.index(singleton)]
+    ok = ok and not top.basis_closed[top.open_sets.index(singleton)]
     elapsed = time.perf_counter() - t0
     _report(capsys, 1, ok, elapsed, 1.0, "three-chain spectrum and Sierpinski topology")
 

@@ -3,6 +3,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattimin import cli, io as io_module
 from lattimin.cli import main
@@ -750,3 +751,51 @@ class TestFuzz:
         assert main(["fuzz", "--seed", "42", "--trials", "100", "--out", str(out)]) == 0
         golden = GOLDEN / "fuzz_seed42_trials100.json"
         assert out.read_bytes() == golden.read_bytes()
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text()
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(min_value=-(2**70), max_value=2**70) | st.booleans(), max_size=6)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    """The report emitter writes the bytes of json.dumps(indent=2,
+    sort_keys=True)."""
+
+    @staticmethod
+    def expected(value):
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) == self.expected(value)
+
+    def test_matches_json_dumps_on_every_golden_report(self):
+        """Each golden file, and every report and value nested in it."""
+
+        def values(v):
+            yield v
+            for child in v.values() if isinstance(v, dict) else v if isinstance(v, list) else ():
+                yield from values(child)
+
+        for path in sorted(GOLDEN.glob("*.json")):
+            doc = json.loads(path.read_text())
+            assert cli._dumps(doc) + "\n" == path.read_text(), path.name
+            for value in values(doc):
+                assert cli._dumps(value) == self.expected(value), path.name
+
+    def test_tuples_and_bools(self):
+        for value in ((1, True, [False, 0]), {"b": (), "a": (True,)}, [(-(2**64), 0)]):
+            assert cli._dumps(value) == self.expected(value)

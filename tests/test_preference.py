@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import numpy as np
@@ -27,7 +29,9 @@ from lattimin.preference import (
     dense_ranks,
     trivializer_set,
 )
+from lattimin.duality import nonzero_elements
 from lattimin.testkit import (
+    all_posets,
     axiom3_by_loop,
     derived_weak_order,
     enumerate_weak_orders,
@@ -86,6 +90,91 @@ class TestAxiom2:
             got = check_axiom2(L, WeakOrder(ranks), domain)
             assert got == expected
             assert min(a for a, _, _ in got) < rows <= max(a for a, _, _ in got)
+
+
+def axiom2_by_loop(L, ranks, domain=None):
+    """The literal definition: triples (a, a', b) of the domain, in
+    lexicographic order, with a > b and a' > b but not (a | a') > b."""
+    dom = range(L.n) if domain is None else sorted(set(domain))
+    r, join = list(ranks), L.join.tolist()
+    return [
+        (a, a2, b)
+        for a in dom
+        for a2 in dom
+        for b in dom
+        if r[a] < r[b] and r[a2] < r[b] and not r[join[a][a2]] < r[b]
+    ]
+
+
+class TestAxiom2Certificate:
+    """check_axiom2 lists its triples only on the rows its certificate
+    flags, and axioms12_hold reads the certificate alone; both against the
+    literal triple loop."""
+
+    @staticmethod
+    def assert_agrees(L, ranks, domain):
+        W = WeakOrder(ranks)
+        expected = axiom2_by_loop(L, ranks, domain)
+        assert check_axiom2(L, W, domain) == expected
+        holds = not check_axiom1(L, W, domain) and not expected
+        assert axioms12_hold(L, W, domain) == holds
+        return expected
+
+    def test_every_small_lattice_under_every_rank_vector(self):
+        lattices = {}
+        for k in range(5):
+            for P in all_posets(k):
+                L = downset_lattice(P)
+                if L.n <= 5:
+                    lattices.setdefault(L.join.tobytes(), L)
+        violated = 0
+        for L in lattices.values():
+            for ranks in itertools.product(range(L.n), repeat=L.n):
+                violated += bool(self.assert_agrees(L, ranks, None))
+        assert len(lattices) == 8 and violated >= 1000
+
+    def test_seeded_lattices_orders_and_domains(self):
+        rng = random.Random(17)
+        kinds = collections.Counter()
+        for seed in range(2000):
+            L = random_distributive_lattice(4, seed)
+            orders = [derived_weak_order(L, seed).ranks]
+            orders.append([rng.randint(-3, 3) for _ in range(L.n)])
+            domains = [None, nonzero_elements(L), {a for a in range(L.n) if rng.random() < 0.6}]
+            for ranks in orders:
+                for domain in domains:
+                    violations = self.assert_agrees(L, ranks, domain)
+                    kinds[bool(violations), axioms12_hold(L, WeakOrder(ranks), domain)] += 1
+        assert kinds[True, False] >= 1000 and kinds[False, True] >= 1000, kinds
+        assert kinds[False, False] >= 100, kinds
+
+    def test_upper_bound_is_not_strict(self):
+        # r(b) == r(A | B) > max(r(A), r(B)): b = top and b = bottom violate
+        ranks = (2, 1, 1, 2)
+        assert (B2_A, B2_B) == (1, 2)
+        assert self.assert_agrees(B2, ranks, None) == [(1, 2, 0), (1, 2, 3), (2, 1, 0), (2, 1, 3)]
+
+    def test_lower_bound_is_strict(self):
+        # r(bottom) == max(r(A), r(B)) == 2: bottom does not violate, top does
+        assert self.assert_agrees(B2, (2, 1, 2, 3), None) == [(1, 2, 3), (2, 1, 3)]
+
+    def test_b_outside_the_domain(self):
+        # A and B in the domain, the only rank in (1, 2] is top's, outside it
+        W = WeakOrder((0, 1, 1, 2))
+        assert check_axiom2(B2, W, [0, 1, 2]) == []
+        assert axioms12_hold(B2, W, [0, 1, 2])
+        assert not axioms12_hold(B2, W)
+
+    def test_join_outside_the_domain(self):
+        # A | B = top lies outside the domain and still counts: bottom is
+        # ranked in (max(r(A), r(B)), r(top)]
+        ranks = (2, 1, 1, 3)
+        assert self.assert_agrees(B2, ranks, [0, 1, 2]) == [(1, 2, 0), (2, 1, 0)]
+        # the pair (A, B) outside the domain is no triple, though top, in
+        # it, is ranked in (max(r(A), r(B)), r(A | B)]
+        W = WeakOrder((0, 1, 1, 3))
+        assert check_axiom2(B2, W, [0, 3]) == []
+        assert axioms12_hold(B2, W, [0, 3])
 
 
 class TestAxiom3:

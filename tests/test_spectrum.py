@@ -363,7 +363,7 @@ class TestFiniteTopology:
         assert [sorted(o) for o in rep.open_sets] == [[], [1], [0, 1]]
         assert not rep.hausdorff
         singleton = frozenset({1})
-        i = rep.basis_sets.index(singleton)
+        i = rep.open_sets.index(singleton)
         assert not rep.basis_closed[i]
 
     def test_chain2_discrete_on_one_point(self):
