@@ -13,6 +13,7 @@ import functools
 import json
 import logging
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as encode_str
 
@@ -85,8 +86,14 @@ def _dumps(value, pad="\n") -> str:
 def _emit(report, out_path):
     text = _dumps(report) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
+        # Written over the old bytes, then cut to length: open(path, "w")
+        # truncates to zero first, and ext4 (auto_da_alloc) then flushes the
+        # file on close, which stalls the next overwrite of the same path.
+        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
+                fh.truncate()
     else:
         sys.stdout.write(text)
 

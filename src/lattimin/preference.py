@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AxiomsNotSatisfied, NotAnIdeal
+from .errors import AxiomsNotSatisfied, NotAnIdeal, TooLarge
 from .lattice import Lattice, _row_blocks, row_class_ids
 from .spectrum import ideal_witness
 
@@ -94,6 +94,13 @@ def checked_worst_ranks(M, ranks) -> list[int]:
     return worst
 
 
+# Most violating triples check_axiom2 lists; above it, TooLarge.  On B10
+# (Python 3.11, numpy 2.4), 255,496 triples peak at 142 MiB resident in
+# `lattimin represent` under a 256 MiB address-space cap, and 439,492 run
+# out of it.
+MAX_AXIOM2_TRIPLES = 1 << 18
+
+
 def _domain_mask(L: Lattice, domain) -> np.ndarray:
     if domain is None:
         return np.ones(L.n, dtype=bool)
@@ -102,27 +109,33 @@ def _domain_mask(L: Lattice, domain) -> np.ndarray:
     return mask
 
 
+def _axiom1_pairs(L: Lattice, r: np.ndarray, dom: np.ndarray) -> np.ndarray:
+    """[a <= b in L and r(a) > r(b)] over domain pairs, as a bool matrix."""
+    return L.leq_table & (r[:, None] > r[None, :]) & dom[:, None] & dom[None, :]
+
+
 def check_axiom1(L: Lattice, W: WeakOrder, domain=None) -> list:
     """Violating pairs (a, b) with a <= b in the lattice but a not >= b in W."""
-    r = np.asarray(W.ranks)
-    dom = _domain_mask(L, domain)
-    bad = L.leq_table & (r[:, None] > r[None, :]) & dom[:, None] & dom[None, :]
+    bad = _axiom1_pairs(L, np.asarray(W.ranks), _domain_mask(L, domain))
     return [tuple(int(v) for v in w) for w in np.argwhere(bad)]
 
 
 def _axiom2_rows(L: Lattice, r: np.ndarray, dom: np.ndarray) -> np.ndarray:
-    """Rows a of check_axiom2's violating triples (a, a', b), as a bool mask.
+    """How many of check_axiom2's violating triples (a, a', b) have row a,
+    per a; a row is flagged iff its count is positive.
 
-    c[x] counts the domain ranks <= r(x).  A domain b with
-    max(r(a), r(a')) < r(b) <= r(a | a') exists iff
-    c[a | a'] > max(c[a], c[a']), because c is monotone in r; the pair
-    (a, a') must lie in the domain, a | a' need not.  So the verdict costs
-    n^2 integer compares, evaluated over blocks of a, in place of n^3."""
-    c = np.searchsorted(np.sort(r[dom]), r, "right")
+    c[x] counts the domain ranks <= r(x).  The domain b with
+    max(r(a), r(a')) < r(b) <= r(a | a') number
+    max(0, c[a | a'] - max(c[a], c[a'])), because c is monotone in r; the
+    pair (a, a') must lie in the domain, a | a' need not.  So the count costs
+    n^2 integer operations, evaluated over blocks of a, in place of n^3."""
+    c = np.searchsorted(np.sort(r[dom]), r, "right").astype(np.int32)
     pair = np.where(dom, c, L.n)  # out of the domain: never below c[a | a']
-    rows = np.zeros(L.n, dtype=bool)
+    rows = np.zeros(L.n, dtype=np.int64)
     for s in _row_blocks(L.n, L.n):
-        rows[s] = (c[L.join[s]] > np.maximum(pair[s, None], pair)).any(1)
+        excess = c[L.join[s]]
+        excess -= np.maximum(pair[s, None], pair)
+        rows[s] = np.maximum(excess, 0, out=excess).sum(1)
     return rows
 
 
@@ -130,12 +143,19 @@ def check_axiom2(L: Lattice, W: WeakOrder, domain=None) -> list:
     """Violating triples (a, a', b): a > b and a' > b but (a | a') not > b,
     in lexicographic order.  The triples are scanned only on the rows a that
     _axiom2_rows flags, in blocks of a, so memory stays O(BLOCK_ELEMENTS)
-    however large n is."""
+    however large n is.  TooLarge, before any triple is listed, if there are
+    more than MAX_AXIOM2_TRIPLES."""
     r = np.asarray(W.ranks)
     dom = _domain_mask(L, domain)
-    flagged = np.flatnonzero(_axiom2_rows(L, r, dom))
+    counts = _axiom2_rows(L, r, dom)
+    flagged = np.flatnonzero(counts)
     if not flagged.size:
         return []
+    total = int(counts.sum())
+    if total > MAX_AXIOM2_TRIPLES:
+        raise TooLarge(
+            f"axiom 2 has {total} violating triples, over the listing cap of {MAX_AXIOM2_TRIPLES}"
+        )
     strict = (r[:, None] < r[None, :]) & dom[:, None] & dom[None, :]
     out = []
     for s in _row_blocks(flagged.size, L.n * L.n):
@@ -167,10 +187,10 @@ def check_axiom3(L: Lattice, W: WeakOrder) -> list:
 
 def axioms12_hold(L: Lattice, W: WeakOrder, domain=None) -> bool:
     """Whether axioms 1 and 2 hold on the domain; axiom 2 by its certificate
-    alone, without listing triples."""
-    if check_axiom1(L, W, domain):
-        return False
-    return not _axiom2_rows(L, np.asarray(W.ranks), _domain_mask(L, domain)).any()
+    alone, without listing triples.  The domain is read once, so it may be
+    an iterator."""
+    r, dom = np.asarray(W.ranks), _domain_mask(L, domain)
+    return not (_axiom1_pairs(L, r, dom).any() or _axiom2_rows(L, r, dom).any())
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
 import json
+import os
 import pathlib
 import random
+import resource
+import stat
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattimin import cli, io as io_module
+import lattimin
+from lattimin import cli, io as io_module, preference
 from lattimin.cli import main
-from lattimin.fixtures import CHAIN3, M3, N5, chain
+from lattimin.fixtures import B2, CHAIN3, M3, N5, chain
 from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
 from lattimin.preference import WeakOrder
@@ -127,8 +133,9 @@ class TestPipelineGolden:
     byte for byte."""
 
     def test_reports_match_golden_file(self, tmp_path):
-        golden = GOLDEN / "cli_reports.json"
-        assert pipeline_reports(tmp_path) == golden.read_bytes()
+        golden = (GOLDEN / "cli_reports.json").read_bytes()
+        assert pipeline_reports(tmp_path) == golden
+        assert pipeline_reports(tmp_path, prefill=PREFILL_BYTES) == golden
 
     def test_golden_cases_cover_fallback_refutation_and_posets(self):
         cases = json.loads((GOLDEN / "cli_reports.json").read_text())
@@ -188,10 +195,17 @@ def pipeline_inputs():
         yield f"{fmt}-{source}-n{L.n}-{order}", lattice, ranks, representation_to_dict(R)
 
 
-def pipeline_reports(tmp_path) -> bytes:
+# Junk each report file holds before `--out` writes over it, with prefill:
+# more than the largest pipeline report (8.3 KB).
+PREFILL_BYTES = 1 << 15
+
+
+def pipeline_reports(tmp_path, prefill=0) -> bytes:
     """Exit code and report of `lattimin axioms`, `dualize`, `represent` and
     `factor` on every pipeline case, as one JSON document; a refused input
-    (exit 2) has a null report."""
+    (exit 2) has a null report.  With prefill, each report is written over a
+    file of that many junk bytes, which it must be shorter than."""
+    junk = random.Random(0).randbytes(prefill)
     out = []
     for name, lattice, ranks, rep in pipeline_inputs():
         files = {}
@@ -201,10 +215,14 @@ def pipeline_reports(tmp_path) -> bytes:
         case = {"case": name, "exit": {}}
         for verb in ("axioms", "dualize", "represent", "factor"):
             report = tmp_path / f"{name}.{verb}.out.json"
+            if prefill:
+                report.write_bytes(junk)
             argv = [verb, "--lattice", str(files["lattice"]), "--pref", str(files["pref"])]
             if verb == "factor":
                 argv += ["--rep", str(files["rep"])]
             code = main(argv + ["--out", str(report)])
+            if prefill and code != 2:
+                assert report.stat().st_size < prefill
             case["exit"][verb] = code
             case[verb] = json.loads(report.read_text()) if code != 2 else None
         out.append(case)
@@ -336,6 +354,59 @@ class TestAxioms:
             ["axioms", "--lattice", chain3_file, "--pref", str(pref)], capsys
         )
         assert code == 0 and report["satisfied"]
+
+
+class TestAxiom2Cap:
+    """axioms and represent refuse an order with more violating axiom-2
+    triples than preference.MAX_AXIOM2_TRIPLES, with exit 2, before listing
+    any."""
+
+    @pytest.fixture
+    def b2_files(self, tmp_path):
+        lattice, pref = tmp_path / "b2.json", tmp_path / "w.json"
+        lattice.write_text(json.dumps(lattice_to_dict(B2)))
+        pref.write_text(json.dumps({"ranks": [0, 1, 1, 2]}))  # two triples
+        return ["--lattice", str(lattice), "--pref", str(pref)]
+
+    @pytest.mark.parametrize("verb", ["axioms", "represent"])
+    def test_refused_over_the_cap(self, b2_files, monkeypatch, capsys, verb):
+        assert run([verb, *b2_files], capsys)[0] == 1
+        monkeypatch.setattr(preference, "MAX_AXIOM2_TRIPLES", 0)
+        assert main([verb, *b2_files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: axiom 2 has 2 violating triples, over the listing cap of 0\n"
+        )
+
+    def test_b10_random_order_refused_within_the_rung_budget(self, tmp_path):
+        # 73,522,970 triples, several GB as a list: refused from the counts
+        # alone, in a child under the 256 MiB address-space cap of a ladder
+        # rung, so a regression ends in MemoryError rather than exhausting
+        # the machine.
+        lattice, pref = tmp_path / "b10.json", tmp_path / "w.json"
+        lattice.write_text(json.dumps({"poset": {"n": 10, "covers": []}}))
+        pref.write_text(json.dumps({"ranks": random_weak_order(1024, random.Random(1))}))
+        child = (
+            "import sys\n"
+            "from lattimin.cli import main\n"
+            "for verb in ('axioms', 'represent'):\n"
+            "    try:\n"
+            "        print(verb, main([verb, '--lattice', sys.argv[1], '--pref', sys.argv[2]]))\n"
+            "    except MemoryError:\n"
+            "        print(verb, 'MemoryError')\n"
+        )
+        cap = 256 << 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(pathlib.Path(lattimin.__file__).parents[1]))
+        env.pop("LM_LOG", None)
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(lattice), str(pref)], env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout == "axioms 2\nrepresent 2\n", done.stderr
+        assert done.stderr.count("error: axiom 2 has 73522970 violating triples") == 2
 
 
 class TestDualize:
@@ -703,6 +774,70 @@ class TestUnwritableReport:
         assert exit_.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: cannot write the report:")
+
+
+class TestOutFile:
+    """--out writes the report over the file in place and cuts the file to
+    the report's length: the bytes are stdout's, symlinks are followed, the
+    mode is kept, and a file that is not regular is not cut."""
+
+    @pytest.fixture
+    def report(self, chain3_file, capsys):
+        """spectrum's report on stdout; the bytes every --out must leave."""
+        assert main(["spectrum", "--lattice", chain3_file]) == 0
+        return capsys.readouterr().out.encode()
+
+    def spectrum(self, chain3_file, out):
+        return main(["spectrum", "--lattice", chain3_file, "--out", str(out)])
+
+    def test_longer_file_cut_to_the_report(self, chain3_file, report, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_bytes(random.Random(0).randbytes(100_000))
+        assert self.spectrum(chain3_file, out) == 0
+        assert out.read_bytes() == report
+
+    def test_symlink_followed(self, chain3_file, report, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 5000)
+        link.symlink_to(target)
+        assert self.spectrum(chain3_file, link) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == report
+
+    def test_mode_kept(self, chain3_file, report, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_bytes(b"x" * 5000)
+        out.chmod(0o600)
+        assert self.spectrum(chain3_file, out) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes() == report
+
+    def test_new_file_under_the_umask(self, chain3_file, report, tmp_path):
+        out = tmp_path / "r.json"
+        old = os.umask(0o027)
+        try:
+            assert self.spectrum(chain3_file, out) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_bytes() == report
+
+    def test_dev_null_not_cut(self, chain3_file, capsys):
+        # ftruncate on /dev/null raises EINVAL
+        assert self.spectrum(chain3_file, os.devnull) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_opened_once_without_truncation(self, chain3_file, tmp_path, monkeypatch):
+        out, opened, real_open = str(tmp_path / "r.json"), [], os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert self.spectrum(chain3_file, out) == 0
+        flags = [f for path, f in opened if path == out]
+        assert flags == [os.O_WRONLY | os.O_CREAT]  # no O_TRUNC
 
 
 class TestFuzz:

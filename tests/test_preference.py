@@ -19,7 +19,7 @@ from lattimin import (
     strict_upper_contour,
     zero_class,
 )
-from lattimin.errors import AxiomsNotSatisfied
+from lattimin.errors import AxiomsNotSatisfied, TooLarge
 from lattimin.fixtures import B2, B2_A, B2_B, CHAIN3, W3
 from lattimin.lattice import BLOCK_ELEMENTS, Poset, downset_lattice, membership
 from lattimin import preference
@@ -116,8 +116,15 @@ class TestAxiom2Certificate:
         W = WeakOrder(ranks)
         expected = axiom2_by_loop(L, ranks, domain)
         assert check_axiom2(L, W, domain) == expected
+        members = list(range(L.n) if domain is None else domain)
+        dom = np.zeros(L.n, dtype=bool)
+        dom[members] = True
+        per_row = collections.Counter(a for a, _, _ in expected)
+        counts = preference._axiom2_rows(L, np.asarray(ranks), dom)
+        assert counts.tolist() == [per_row[a] for a in range(L.n)]
         holds = not check_axiom1(L, W, domain) and not expected
         assert axioms12_hold(L, W, domain) == holds
+        assert axioms12_hold(L, W, iter(members)) == holds  # read once
         return expected
 
     def test_every_small_lattice_under_every_rank_vector(self):
@@ -164,6 +171,21 @@ class TestAxiom2Certificate:
         assert check_axiom2(B2, W, [0, 1, 2]) == []
         assert axioms12_hold(B2, W, [0, 1, 2])
         assert not axioms12_hold(B2, W)
+
+    def test_one_shot_domain(self):
+        # axiom 1 holds on {A, B, top} and axiom 2 fails at (A, B, top)
+        W = WeakOrder((0, 1, 1, 2))
+        assert not axioms12_hold(B2, W, [1, 2, 3])
+        assert not axioms12_hold(B2, W, iter([1, 2, 3]))
+
+    def test_listing_cap(self, monkeypatch):
+        W = WeakOrder((2, 1, 1, 2))  # four triples
+        monkeypatch.setattr(preference, "MAX_AXIOM2_TRIPLES", 4)
+        assert len(check_axiom2(B2, W)) == 4
+        monkeypatch.setattr(preference, "MAX_AXIOM2_TRIPLES", 3)
+        with pytest.raises(TooLarge, match="axiom 2 has 4 violating triples"):
+            check_axiom2(B2, W)
+        assert not axioms12_hold(B2, W)  # the verdict lists no triple
 
     def test_join_outside_the_domain(self):
         # A | B = top lies outside the domain and still counts: bottom is
