@@ -7,6 +7,7 @@ transitivity hold by construction of the encoding.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,6 +100,18 @@ def checked_worst_ranks(M, ranks) -> list[int]:
 # `lattimin represent` under a 256 MiB address-space cap, and 439,492 run
 # out of it.
 MAX_AXIOM2_TRIPLES = 1 << 18
+# Most violating pairs check_axiom1 or check_axiom3 lists; above it, TooLarge.
+# On C1024, 261,632 axiom-1 pairs and as many axiom-3 pairs in one report
+# peak at 150.5 MiB resident in `lattimin axioms` under the same cap.
+MAX_AXIOM_PAIRS = 1 << 18
+
+
+def _refuse_over_cap(axiom: int, total: int, what: str, cap: int) -> None:
+    """TooLarge if an axiom has more violations than its listing cap."""
+    if total > cap:
+        raise TooLarge(
+            f"axiom {axiom} has {total} violating {what}, over the listing cap of {cap}"
+        )
 
 
 def _domain_mask(L: Lattice, domain) -> np.ndarray:
@@ -115,8 +128,11 @@ def _axiom1_pairs(L: Lattice, r: np.ndarray, dom: np.ndarray) -> np.ndarray:
 
 
 def check_axiom1(L: Lattice, W: WeakOrder, domain=None) -> list:
-    """Violating pairs (a, b) with a <= b in the lattice but a not >= b in W."""
+    """Violating pairs (a, b) with a <= b in the lattice but a not >= b in W.
+    TooLarge, before any pair is listed, if there are more than
+    MAX_AXIOM_PAIRS."""
     bad = _axiom1_pairs(L, np.asarray(W.ranks), _domain_mask(L, domain))
+    _refuse_over_cap(1, int(bad.sum()), "pairs", MAX_AXIOM_PAIRS)
     return [tuple(int(v) for v in w) for w in np.argwhere(bad)]
 
 
@@ -151,11 +167,7 @@ def check_axiom2(L: Lattice, W: WeakOrder, domain=None) -> list:
     flagged = np.flatnonzero(counts)
     if not flagged.size:
         return []
-    total = int(counts.sum())
-    if total > MAX_AXIOM2_TRIPLES:
-        raise TooLarge(
-            f"axiom 2 has {total} violating triples, over the listing cap of {MAX_AXIOM2_TRIPLES}"
-        )
+    _refuse_over_cap(2, int(counts.sum()), "triples", MAX_AXIOM2_TRIPLES)
     strict = (r[:, None] < r[None, :]) & dom[:, None] & dom[None, :]
     out = []
     for s in _row_blocks(flagged.size, L.n * L.n):
@@ -172,14 +184,23 @@ def trivializer_set(L: Lattice, W: WeakOrder, a: int) -> frozenset:
     return frozenset(b for b in range(L.n) if W.ranks[int(L.meet[a, b])] == r0)
 
 
+def _equal_pairs(keys) -> int:
+    """How many pairs of positions hold equal keys."""
+    return sum(c * (c - 1) // 2 for c in Counter(keys).values())
+
+
 def check_axiom3(L: Lattice, W: WeakOrder) -> list:
     """Violating pairs (a, a') with identical trivializer sets but a !~ a',
     in lexicographic order.  Row a of [r(a & b) == r(bottom)] is the
-    trivializer set of a, so equal rows mean equal sets."""
+    trivializer set of a, so equal rows mean equal sets.  They number, per
+    key, C(size, 2) less C(count, 2) per rank; TooLarge, before any pair is
+    listed, if that is more than MAX_AXIOM_PAIRS."""
     r = np.asarray(W.ranks)
     key = row_class_ids((r == r[L.bottom])[L.meet])
-    if len(set(zip(key, W.ranks))) == len(set(key)):  # one rank per key
+    total = _equal_pairs(key) - _equal_pairs(zip(key, W.ranks))
+    if not total:
         return []
+    _refuse_over_cap(3, total, "pairs", MAX_AXIOM_PAIRS)
     k = np.asarray(key)
     bad = np.triu((k[:, None] == k) & (r[:, None] != r), 1)
     return [(int(a), int(a2)) for a, a2 in np.argwhere(bad)]

@@ -1,10 +1,10 @@
 """Congruences, quotients, and the minimal maximin representation.
 
-The synthesis pipeline takes a congruence θ whose bottom class is the
-indifference-to-bottom ideal: the coarse trivializer congruence when Axiom 3
-holds, the fine bounded-perturbation congruence when it does not; both paths
-yield verifiable representations.  Its states are the prime filters of L/θ,
-read off L's own spectrum, so it builds no quotient lattice.
+Synthesis takes θ*, the coarsest congruence on whose classes W is constant,
+read off J(L), so every representation factors through its result.  Its
+states are the prime filters of L/θ*, read off L's own spectrum, so it
+builds no quotient lattice.  Where Axiom 3 holds, θ* is the paper's
+trivializer congruence.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     LatticeHom,
+    _certify,
     build_lattice,
     class_ids,
     membership,
@@ -36,13 +37,11 @@ from .preference import (
     WeakOrder,
     check_axiom1,
     check_axiom2,
-    check_axiom3,
     checked_worst_ranks,
     dense_ranks,
     first_disagreement,
-    zero_class,
 )
-from .spectrum import SpectralSpace, enumerate_prime_filters, ideal_witness, is_powerset_hom
+from .spectrum import SpectralSpace, ideal_witness, is_powerset_hom
 
 
 @dataclass(frozen=True)
@@ -217,11 +216,11 @@ def verify_representation(
 def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     """Build the canonical minimal representation of an axiom-satisfying W.
 
-    Axioms 1-2 are mandatory (AxiomViolation otherwise).  Axiom 3 selects the
-    coarse trivializer congruence; when it fails the fine congruence is used
-    instead, which still yields a verifiable representation.  The states are
-    the prime filters of L/θ: by Birkhoff duality, L's prime filters that are
-    unions of θ-classes, each read on one representative per class.
+    Axioms 1-2 are mandatory (AxiomViolation otherwise).  The congruences of
+    L are a -> {j in J' : j <= a} for the subsets J' of J(L); θ* keeps J*,
+    the labels j of the covers a < a | j that change rank.  Its states, the
+    prime filters of L/θ*, are ↑j for j in J*, read on one representative
+    per class.
     """
     from .duality import dual_forward  # local import to avoid a cycle
 
@@ -229,16 +228,16 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     v2 = check_axiom2(L, W)
     if v1 or v2:
         raise AxiomViolation({"axiom1": v1, "axiom2": v2})
-    I = zero_class(L, W).members
-    C = (congruence_beta_prime if check_axiom3(L, W) else congruence_beta_dprime)(L, I)
-    cls, reps, ranks = np.asarray(C.classes), np.asarray(C.representatives), np.asarray(W.ranks)
-    bad = np.flatnonzero(ranks != ranks[reps[cls]])
-    if bad.size:
-        a = int(bad[0])
-        raise AxiomViolation({"congruence-indifference": [(a, int(reps[cls[a]]))]})
-    member = enumerate_prime_filters(L).member  # rows kept: the θ-saturated ones
-    S = SpectralSpace(member[(member == member[:, reps[cls]]).all(1)][:, reps])
-    fwd = dual_forward(L, S, WeakOrder(ranks[reps]))
+    J, r = _certify(L), np.asarray(W.ranks)
+    up = L.leq_table[J]  # row i: ↑J[i]
+    h = up.sum(0)  # h[a] = |{j in J(L) : j <= a}|
+    b = L.join[:, J]  # b[a, i] = a | J[i], which covers a iff h[b] == h[a] + 1
+    keep = ((h[b] == h[:, None] + 1) & (r[b] != r[:, None])).any(0)
+    P = up[keep]  # column a: {j in J* : j <= a}, the θ*-class of a
+    cls = np.asarray(row_class_ids(P.T))
+    reps = np.unique(cls, return_index=True)[1]
+    S = SpectralSpace(P[:, reps])
+    fwd = dual_forward(L, S, WeakOrder(r[reps]))
     return Representation(S.member.shape[0], S.member.T[cls], fwd.ranks)
 
 

@@ -16,8 +16,15 @@ from lattimin.cli import main
 from lattimin.fixtures import B2, CHAIN3, M3, N5, chain
 from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
-from lattimin.preference import WeakOrder
-from lattimin.representation import derive_pref_from_rep, minimal_representation
+from lattimin.preference import WeakOrder, zero_class
+from lattimin.duality import dual_forward
+from lattimin.representation import (
+    Representation,
+    congruence_beta_prime,
+    derive_pref_from_rep,
+    minimal_representation,
+    quotient,
+)
 from lattimin.spectrum import enumerate_prime_filters, finite_topology_report
 from lattimin.testkit import (
     all_posets,
@@ -137,14 +144,16 @@ class TestPipelineGolden:
         assert pipeline_reports(tmp_path) == golden
         assert pipeline_reports(tmp_path, prefill=PREFILL_BYTES) == golden
 
-    def test_golden_cases_cover_fallback_refutation_and_posets(self):
+    def test_golden_cases_cover_axiom3_failures_and_posets(self):
+        """Every representation that generated a derived order factors
+        through the minimal one, axiom 3 or not: no golden factor refutes."""
         cases = json.loads((GOLDEN / "cli_reports.json").read_text())
         assert len(cases) == 20
         exits = [c["exit"] for c in cases]
         ax3_broken = [c for c in cases if c["axioms"]["axiom3"]
                       and c["exit"]["represent"] == 0]
-        assert len(ax3_broken) >= 5  # the fine-congruence fallback
-        assert sum(e["factor"] == 1 for e in exits) >= 3  # refutations
+        assert len(ax3_broken) >= 5
+        assert all(c["exit"]["factor"] == 0 for c in cases if c["case"].endswith("-derived"))
         assert sum(e["factor"] == 0 for e in exits) >= 8
         assert sum(e["represent"] == 1 for e in exits) >= 3  # axiom violations
         assert sum(c["case"].startswith("poset-") for c in cases) >= 5
@@ -155,8 +164,7 @@ class TestPipelineGolden:
 # come from random_representation(L, seed), which is also the factor input;
 # "dup" factors a duplicated outcome of the minimal representation; "random"
 # orders break axiom 1.  The derived orders of seeds 7..93 and of P8 (the
-# down-sets of a 3-chain beside 5 points, 128 elements) break axiom 3;
-# factor refutes 38, 61, 84, 93 and P8.
+# down-sets of a 3-chain beside 5 points, 128 elements) break axiom 3.
 PIPELINE_CASES = [
     ("table", 0, "derived"), ("poset", 5, "derived"), ("table", 11, "derived"),
     ("poset", 13, "derived"), ("table", 30, "derived"),
@@ -409,6 +417,72 @@ class TestAxiom2Cap:
         assert done.stderr.count("error: axiom 2 has 73522970 violating triples") == 2
 
 
+class TestAxiom1And3Cap:
+    """axioms and represent refuse an order with more violating axiom-1 or
+    axiom-3 pairs than preference.MAX_AXIOM_PAIRS, with exit 2, before
+    listing any."""
+
+    @pytest.fixture
+    def chain3_with(self, chain3_file, tmp_path):
+        def files(ranks):
+            pref = tmp_path / "w.json"
+            pref.write_text(json.dumps({"ranks": ranks}))
+            return ["--lattice", chain3_file, "--pref", str(pref)]
+        return files
+
+    @pytest.mark.parametrize("verb, ranks, message", [
+        ("axioms", [2, 1, 0], "axiom 1 has 3 violating pairs"),
+        ("represent", [2, 1, 0], "axiom 1 has 3 violating pairs"),
+        ("axioms", [0, 1, 2], "axiom 3 has 1 violating pairs"),
+    ])
+    def test_refused_over_the_cap(self, chain3_with, monkeypatch, capsys, verb, ranks, message):
+        args = chain3_with(ranks)
+        assert run([verb, *args], capsys)[0] == 1
+        monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", 0)
+        assert main([verb, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}, over the listing cap of 0\n"
+
+    def test_c1024_refused_within_the_rung_budget(self, tmp_path):
+        # 523,776 axiom-1 pairs under reversed ranks and 522,753 axiom-3
+        # pairs under ranks 0..1023 on the 1024-chain: refused from the
+        # counts alone, in a child under the 256 MiB address-space cap of a
+        # ladder rung, so a regression ends in MemoryError rather than
+        # exhausting the machine.
+        n = 1024
+        table = [list(range(a)) + [a] * (n - a) for a in range(n)]  # min(a, b)
+        lattice = tmp_path / "c1024.json"
+        lattice.write_text(json.dumps({
+            "n": n, "bottom": 0, "top": n - 1, "meet": table,
+            "join": [[max(a, b) for b in range(n)] for a in range(n)],
+        }))
+        for name, ranks in (("rev", range(n - 1, -1, -1)), ("inc", range(n))):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"ranks": list(ranks)}))
+        child = (
+            "import sys\n"
+            "from lattimin.cli import main\n"
+            "for verb, pref in (('axioms', 'rev'), ('represent', 'rev'), ('axioms', 'inc')):\n"
+            "    args = [verb, '--lattice', sys.argv[1], '--pref', f'{sys.argv[2]}/{pref}.json']\n"
+            "    try:\n"
+            "        print(verb, pref, main(args))\n"
+            "    except MemoryError:\n"
+            "        print(verb, pref, 'MemoryError')\n"
+        )
+        cap = 256 << 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(pathlib.Path(lattimin.__file__).parents[1]))
+        env.pop("LM_LOG", None)
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(lattice), str(tmp_path)], env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout == "axioms rev 2\nrepresent rev 2\naxioms inc 2\n", done.stderr
+        assert done.stderr.count("error: axiom 1 has 523776 violating pairs") == 2
+        assert done.stderr.count("error: axiom 3 has 522753 violating pairs") == 1
+
+
 class TestDualize:
     def test_agreement(self, chain3_file, w3_file, capsys):
         code, report = run(
@@ -487,6 +561,24 @@ class TestRepresentVerifyFactor:
             capsys,
         )
         assert code == 0 and report["factored"] and report["valid_hom"]
+
+    def test_two_outcome_rep_of_c4_factors(self, tmp_path, capsys):
+        """On the 4-chain ranked 0, 1, 1, 2 the middle two elements share a
+        rank, so the minimal representation merges them, and a valid
+        two-outcome representation that merges them too factors through it."""
+        files = {"lattice": {"poset": {"n": 3, "covers": [[0, 1], [1, 2]]}},
+                 "pref": {"ranks": [0, 1, 1, 2]},
+                 "rep": {"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [1], "3": [0, 1]},
+                         "outcome_ranks": [1, 0]}}
+        args = ["factor"]
+        for key, doc in files.items():
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            args += [f"--{key}", str(path)]
+        code, report = run(args, capsys)
+        assert code == 0
+        assert report == {"factored": True, "hom": [0, 1, 2], "surjective": True,
+                          "valid_hom": True}
 
 
 class TestInputErrors:
@@ -880,6 +972,24 @@ class TestFuzz:
         for f in failures:
             assert f["seed"] == 7 * 1_000_003 + f["trial"]
             assert f["n"] == random_distributive_lattice(3, f["seed"]).n
+
+    def test_factoring_check_refutes_a_finer_synthesis(self, tmp_path, monkeypatch):
+        """The factoring check factors the representation that generated the
+        order through the synthesized one, so a synthesis finer than θ*, here
+        the one over the fine congruence β′, is refuted on some trials."""
+        def fine_synthesis(L, W):
+            C = congruence_beta_prime(L, zero_class(L, W).members)
+            Q, h = quotient(L, C)
+            S = enumerate_prime_filters(Q)
+            fwd = dual_forward(Q, S, WeakOrder([W.ranks[r] for r in C.representatives]))
+            return Representation(len(S.points), S.member.T[list(h.mapping)], fwd.ranks)
+
+        monkeypatch.setattr(cli, "minimal_representation", fine_synthesis)
+        out = tmp_path / "fuzz.json"
+        assert main(["fuzz", "--seed", "42", "--trials", "30", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert {f["check"] for f in report["failures"]} == {"factoring"}
+        assert report["pass_counts"]["synthesis_verifies"] == 30
 
     def test_seed42_report_matches_golden_file(self, tmp_path, capsys):
         out = tmp_path / "fuzz.json"

@@ -55,6 +55,26 @@ class TestAxiom1:
         for L in (CHAIN3, B2):
             assert check_axiom1(L, WeakOrder((0,) * L.n)) == []
 
+    def test_listing_cap_is_the_exact_count(self, monkeypatch):
+        """check_axiom1 lists up to MAX_AXIOM_PAIRS pairs and refuses one
+        more, on seeded lattices with random orders and domains."""
+        rng = random.Random(4)
+        counts = set()
+        for seed in range(200):
+            L = random_distributive_lattice(5, seed)
+            W = WeakOrder(random_weak_order(L.n, rng))
+            domain = None if seed % 2 else rng.sample(range(L.n), rng.randint(1, L.n))
+            pairs = check_axiom1(L, W, domain)
+            monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", len(pairs))
+            assert check_axiom1(L, W, domain) == pairs
+            if pairs:
+                monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", len(pairs) - 1)
+                with pytest.raises(TooLarge, match=f"axiom 1 has {len(pairs)} violating pairs"):
+                    check_axiom1(L, W, domain)
+            monkeypatch.undo()
+            counts.add(len(pairs))
+        assert 0 in counts and len(counts) >= 20
+
 
 class TestAxiom2:
     def test_w3_clean(self):
@@ -235,6 +255,27 @@ class TestAxiom3:
             assert fast == axiom3_by_loop(L, W), seed
             sizes.append(len(fast))
         assert sizes.count(0) >= 100 and sum(k >= 3 for k in sizes) >= 50
+
+    def test_listing_cap_is_the_exact_count(self, monkeypatch):
+        """The count per key, C(size, 2) less C(count, 2) per rank, equals the
+        listing's length: check_axiom3 lists up to MAX_AXIOM_PAIRS pairs and
+        refuses one more."""
+        rng = random.Random(5)
+        counts = set()
+        for seed in range(300):
+            L = random_distributive_lattice(5, seed)
+            W = (derived_weak_order(L, seed) if seed % 2
+                 else WeakOrder(random_weak_order(L.n, rng)))
+            pairs = check_axiom3(L, W)
+            monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", len(pairs))
+            assert check_axiom3(L, W) == pairs
+            if pairs:
+                monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", len(pairs) - 1)
+                with pytest.raises(TooLarge, match=f"axiom 3 has {len(pairs)} violating pairs"):
+                    check_axiom3(L, W)
+            monkeypatch.undo()
+            counts.add(len(pairs))
+        assert 0 in counts and len(counts) >= 15
 
     def test_matches_loop_oracle_on_128_elements(self):
         L = downset_lattice(Poset(8, ((0, 1), (1, 2))))
