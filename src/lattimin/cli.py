@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         code, report = args.func(args)
@@ -289,7 +288,9 @@ def entrypoint(argv=None):
     """The lattimin program: main's exit code, or 3 with a one-line message
     for any other exception, a fault of lattimin rather than of the input or
     a check.  main itself lets such an exception propagate to an in-process
-    caller, and MemoryError keeps its own traceback here."""
+    caller, and MemoryError keeps its own traceback here.  Logging (LM_LOG)
+    is set up here, so main leaves an in-process caller's loggers alone."""
+    _setup_logging()
     try:
         code = main(argv)
     except MemoryError:

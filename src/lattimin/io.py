@@ -99,6 +99,13 @@ def _walk_ints(value, name: str, depth: int):
     return value
 
 
+def _object(value, name: str) -> dict:
+    """value if it is a JSON object, else TypeError naming the field."""
+    if type(value) is not dict:
+        raise TypeError(f"{name}: expected a JSON object")
+    return value
+
+
 def _labels(value, n: int):
     """value if it is null or a list of n strings, else FormatError saying why."""
     if value is not None:
@@ -120,8 +127,8 @@ def lattice_from_dict(d, validate=True) -> Lattice:
     stands for the lattice of its down-sets, which is lawful by construction.
     """
     if "poset" in d:
-        p = d["poset"]
         try:
+            p = _object(d["poset"], "poset")
             P = Poset(_ints(p["n"], "n"), _ints(p["covers"], "covers", 2))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bad poset block: {e}") from e
@@ -183,7 +190,7 @@ def load_representation(path, L: Lattice) -> Representation:
     d = load_json(path)
     try:
         count = _ints(d["outcomes"], "outcomes")
-        sigma = d["sigma"]
+        sigma = _object(d["sigma"], "sigma")
         sets = _ints([sigma[str(a)] for a in range(L.n)], "sigma", 2)
         ranks = _ints(d["outcome_ranks"], "outcome_ranks", 1)
         return Representation(count, sets, ranks)

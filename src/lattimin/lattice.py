@@ -26,7 +26,13 @@ MAX_POSET_ELEMENTS = 16
 
 
 def _freeze(table) -> np.ndarray:
-    arr = np.ascontiguousarray(table, dtype=np.intp)
+    """table as a read-only intp array; rows of unequal length, which have no
+    array shape, give an empty 1-d array, so Lattice's square check refuses
+    them."""
+    try:
+        arr = np.ascontiguousarray(table, dtype=np.intp)
+    except ValueError:
+        arr = np.empty(0, dtype=np.intp)
     arr.setflags(write=False)
     return arr
 
@@ -55,6 +61,8 @@ class Poset:
     def __post_init__(self):
         if self.n > MAX_POSET_ELEMENTS:
             raise TooLarge(f"posets capped at {MAX_POSET_ELEMENTS} elements, got {self.n}")
+        if self.n < 0:
+            raise ValueError(f"n: {self.n} is negative")
         object.__setattr__(
             self, "covers", tuple((int(a), int(b)) for a, b in self.covers)
         )

@@ -95,22 +95,21 @@ def checked_worst_ranks(M, ranks) -> list[int]:
     return worst
 
 
-# Most violating triples check_axiom2 lists; above it, TooLarge.  On B10
-# (Python 3.11, numpy 2.4), 255,496 triples peak at 142 MiB resident in
-# `lattimin represent` under a 256 MiB address-space cap, and 439,492 run
-# out of it.
-MAX_AXIOM2_TRIPLES = 1 << 18
-# Most violating pairs check_axiom1 or check_axiom3 lists; above it, TooLarge.
-# On C1024, 261,632 axiom-1 pairs and as many axiom-3 pairs in one report
-# peak at 150.5 MiB resident in `lattimin axioms` under the same cap.
-MAX_AXIOM_PAIRS = 1 << 18
+# Most violations (axiom-1 or axiom-3 pairs, axiom-2 triples) one check
+# lists; above it, TooLarge.  It bounds the memory of one report under a
+# 256 MiB address-space cap (Python 3.11, numpy 2.4): on B10, 255,496
+# axiom-2 triples peak at 142 MiB resident in `lattimin represent`, and
+# 439,492 run out of it; on C1024, 261,632 axiom-1 pairs and as many axiom-3
+# pairs in one report peak at 150.5 MiB resident in `lattimin axioms`.
+MAX_LISTED_VIOLATIONS = 1 << 18
 
 
-def _refuse_over_cap(axiom: int, total: int, what: str, cap: int) -> None:
-    """TooLarge if an axiom has more violations than its listing cap."""
-    if total > cap:
+def _refuse_over_cap(axiom: int, total: int, what: str) -> None:
+    """TooLarge if an axiom has more violations than MAX_LISTED_VIOLATIONS."""
+    if total > MAX_LISTED_VIOLATIONS:
         raise TooLarge(
-            f"axiom {axiom} has {total} violating {what}, over the listing cap of {cap}"
+            f"axiom {axiom} has {total} violating {what}, "
+            f"over the listing cap of {MAX_LISTED_VIOLATIONS}"
         )
 
 
@@ -130,9 +129,9 @@ def _axiom1_pairs(L: Lattice, r: np.ndarray, dom: np.ndarray) -> np.ndarray:
 def check_axiom1(L: Lattice, W: WeakOrder, domain=None) -> list:
     """Violating pairs (a, b) with a <= b in the lattice but a not >= b in W.
     TooLarge, before any pair is listed, if there are more than
-    MAX_AXIOM_PAIRS."""
+    MAX_LISTED_VIOLATIONS."""
     bad = _axiom1_pairs(L, np.asarray(W.ranks), _domain_mask(L, domain))
-    _refuse_over_cap(1, int(bad.sum()), "pairs", MAX_AXIOM_PAIRS)
+    _refuse_over_cap(1, int(bad.sum()), "pairs")
     return [tuple(int(v) for v in w) for w in np.argwhere(bad)]
 
 
@@ -160,14 +159,14 @@ def check_axiom2(L: Lattice, W: WeakOrder, domain=None) -> list:
     in lexicographic order.  The triples are scanned only on the rows a that
     _axiom2_rows flags, in blocks of a, so memory stays O(BLOCK_ELEMENTS)
     however large n is.  TooLarge, before any triple is listed, if there are
-    more than MAX_AXIOM2_TRIPLES."""
+    more than MAX_LISTED_VIOLATIONS."""
     r = np.asarray(W.ranks)
     dom = _domain_mask(L, domain)
     counts = _axiom2_rows(L, r, dom)
     flagged = np.flatnonzero(counts)
     if not flagged.size:
         return []
-    _refuse_over_cap(2, int(counts.sum()), "triples", MAX_AXIOM2_TRIPLES)
+    _refuse_over_cap(2, int(counts.sum()), "triples")
     strict = (r[:, None] < r[None, :]) & dom[:, None] & dom[None, :]
     out = []
     for s in _row_blocks(flagged.size, L.n * L.n):
@@ -175,13 +174,6 @@ def check_axiom2(L: Lattice, W: WeakOrder, domain=None) -> list:
         bad = strict[a, None, :] & strict[None, :, :] & (r[L.join[a]][:, :, None] >= r)
         out += [(int(a[i]), int(a2), int(b)) for i, a2, b in np.argwhere(bad)]
     return out
-
-
-def trivializer_set(L: Lattice, W: WeakOrder, a: int) -> frozenset:
-    """{b : a & b ~ bottom}, the set of descriptions trivializing a: the
-    literal definition, which check_axiom3 evaluates for every a at once."""
-    r0 = W.ranks[L.bottom]
-    return frozenset(b for b in range(L.n) if W.ranks[int(L.meet[a, b])] == r0)
 
 
 def _equal_pairs(keys) -> int:
@@ -194,13 +186,13 @@ def check_axiom3(L: Lattice, W: WeakOrder) -> list:
     in lexicographic order.  Row a of [r(a & b) == r(bottom)] is the
     trivializer set of a, so equal rows mean equal sets.  They number, per
     key, C(size, 2) less C(count, 2) per rank; TooLarge, before any pair is
-    listed, if that is more than MAX_AXIOM_PAIRS."""
+    listed, if that is more than MAX_LISTED_VIOLATIONS."""
     r = np.asarray(W.ranks)
     key = row_class_ids((r == r[L.bottom])[L.meet])
     total = _equal_pairs(key) - _equal_pairs(zip(key, W.ranks))
     if not total:
         return []
-    _refuse_over_cap(3, total, "pairs", MAX_AXIOM_PAIRS)
+    _refuse_over_cap(3, total, "pairs")
     k = np.asarray(key)
     bad = np.triu((k[:, None] == k) & (r[:, None] != r), 1)
     return [(int(a), int(a2)) for a, a2 in np.argwhere(bad)]

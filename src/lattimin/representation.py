@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .duality import dual_forward
 from .errors import (
     AxiomViolation,
     IncompatiblePartition,
@@ -222,8 +223,6 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     prime filters of L/θ*, are ↑j for j in J*, read on one representative
     per class.
     """
-    from .duality import dual_forward  # local import to avoid a cycle
-
     v1 = check_axiom1(L, W)
     v2 = check_axiom2(L, W)
     if v1 or v2:

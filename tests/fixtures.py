@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .lattice import Lattice, Poset, build_lattice, downset_lattice, lattice_from_order
-from .preference import WeakOrder
+from lattimin.lattice import Lattice, Poset, build_lattice, downset_lattice, lattice_from_order
+from lattimin.preference import WeakOrder
 
 
 def chain(k: int, labels=None) -> Lattice:

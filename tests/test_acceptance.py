@@ -27,17 +27,20 @@ from lattimin import (
     verify_representation,
 )
 from lattimin.cli import main
-from lattimin.fixtures import B1, B2, B3, CHAIN2, CHAIN3
 from lattimin.preference import axioms12_hold
 from lattimin.testkit import (
-    all_posets,
-    duplicate_outcome,
     derived_weak_order,
-    enumerate_weak_orders,
-    literal_dominance,
     random_distributive_lattice,
     random_representation,
     random_weak_order,
+)
+
+from fixtures import B1, B2, B3, CHAIN2, CHAIN3
+from oracles import (
+    all_posets,
+    duplicate_outcome,
+    enumerate_weak_orders,
+    literal_dominance,
 )
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import pathlib
 import random
@@ -13,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 import lattimin
 from lattimin import cli, io as io_module, preference
 from lattimin.cli import main
-from lattimin.fixtures import B2, CHAIN3, M3, N5, chain
 from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
 from lattimin.preference import WeakOrder, zero_class
@@ -27,13 +27,14 @@ from lattimin.representation import (
 )
 from lattimin.spectrum import enumerate_prime_filters, finite_topology_report
 from lattimin.testkit import (
-    all_posets,
-    duplicate_outcome,
     random_distributive_lattice,
     random_poset,
     random_representation,
     random_weak_order,
 )
+
+from fixtures import B2, CHAIN3, M3, N5, chain
+from oracles import all_posets, duplicate_outcome
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -366,7 +367,7 @@ class TestAxioms:
 
 class TestAxiom2Cap:
     """axioms and represent refuse an order with more violating axiom-2
-    triples than preference.MAX_AXIOM2_TRIPLES, with exit 2, before listing
+    triples than preference.MAX_LISTED_VIOLATIONS, with exit 2, before listing
     any."""
 
     @pytest.fixture
@@ -379,7 +380,7 @@ class TestAxiom2Cap:
     @pytest.mark.parametrize("verb", ["axioms", "represent"])
     def test_refused_over_the_cap(self, b2_files, monkeypatch, capsys, verb):
         assert run([verb, *b2_files], capsys)[0] == 1
-        monkeypatch.setattr(preference, "MAX_AXIOM2_TRIPLES", 0)
+        monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", 0)
         assert main([verb, *b2_files]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -419,7 +420,7 @@ class TestAxiom2Cap:
 
 class TestAxiom1And3Cap:
     """axioms and represent refuse an order with more violating axiom-1 or
-    axiom-3 pairs than preference.MAX_AXIOM_PAIRS, with exit 2, before
+    axiom-3 pairs than preference.MAX_LISTED_VIOLATIONS, with exit 2, before
     listing any."""
 
     @pytest.fixture
@@ -438,7 +439,7 @@ class TestAxiom1And3Cap:
     def test_refused_over_the_cap(self, chain3_with, monkeypatch, capsys, verb, ranks, message):
         args = chain3_with(ranks)
         assert run([verb, *args], capsys)[0] == 1
-        monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", 0)
+        monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", 0)
         assert main([verb, *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -712,6 +713,34 @@ class TestInputErrors:
         assert main(["spectrum", "--lattice", str(path)]) == 2
         assert capsys.readouterr().err == "error: posets capped at 16 elements, got 1500\n"
 
+    RAGGED = "bad lattice tables: meet and join must be square tables of equal size"
+
+    @pytest.mark.parametrize("kind, value, message", [
+        ("lattice", {"poset": [1, 2]}, "bad poset block: poset: expected a JSON object"),
+        ("lattice", {"poset": {"n": -1, "covers": []}}, "bad poset block: n: -1 is negative"),
+        ("lattice", {"meet": [[0, 0], [0]], "join": [[0, 1], [1, 1]], "bottom": 0, "top": 1},
+         RAGGED),
+        ("lattice", {"meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1, 1]], "bottom": 0,
+                     "top": 1}, RAGGED),
+        ("rep", {"outcomes": 2, "sigma": [[], [1], [0, 1]], "outcome_ranks": [1, 0]},
+         "bad representation file: sigma: expected a JSON object"),
+        ("rep", {"outcomes": 2, "sigma": "012", "outcome_ranks": [1, 0]},
+         "bad representation file: sigma: expected a JSON object"),
+    ], ids=["poset-list", "poset-negative-n", "ragged-meet", "ragged-join", "sigma-list",
+            "sigma-string"])
+    def test_refusal_names_the_field(self, chain3_file, w3_file, tmp_path, capsys, kind, value,
+                                     message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(value))
+        if kind == "lattice":
+            args = ["validate", "--lattice", str(path)]
+        else:
+            args = ["verify", "--lattice", chain3_file, "--pref", w3_file, "--rep", str(path)]
+            message = f"{path}: {message}"
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
 
 class TestByteBudget:
     """An input file larger than io.MAX_FILE_BYTES is refused with exit 2
@@ -843,6 +872,35 @@ class TestInternalError:
         with pytest.raises(SystemExit) as exit_:
             cli.entrypoint(["validate", "--lattice", chain3_file])
         assert exit_.value.code == 0
+
+    def test_main_leaves_the_root_logger_alone(self, chain3_file, monkeypatch):
+        """Only the program sets up logging: an in-process caller's root
+        logger keeps its handlers and its level."""
+        root = logging.getLogger()
+        monkeypatch.setattr(root, "handlers", [])  # as outside pytest's capture
+        level = root.level
+        try:
+            assert main(["validate", "--lattice", chain3_file]) == 0
+            assert root.handlers == [] and root.level == level
+        finally:
+            root.setLevel(level)
+
+    def test_program_logs_the_traceback_under_lm_log_debug(self, chain3_file):
+        child = (
+            "import sys\n"
+            "from lattimin import cli\n"
+            "def fail(L):\n"
+            "    raise RuntimeError('boom')\n"
+            "cli.validate_laws = fail\n"
+            "cli.entrypoint(['validate', '--lattice', sys.argv[1]])\n"
+        )
+        env = dict(os.environ, LM_LOG="debug",
+                   PYTHONPATH=str(pathlib.Path(lattimin.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", child, chain3_file], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3 and done.stdout == ""
+        assert "DEBUG internal error\nTraceback (most recent call last):" in done.stderr
+        assert done.stderr.endswith("RuntimeError: boom\ninternal error: RuntimeError: boom\n")
 
 
 class TestUnwritableReport:

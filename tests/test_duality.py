@@ -10,14 +10,14 @@ from lattimin import (
     duality_equivalence_report,
 )
 from lattimin.duality import nonzero_elements
-from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
 from lattimin.testkit import (
     derived_weak_order,
-    enumerate_weak_orders,
-    literal_dominance,
     random_distributive_lattice,
     random_weak_order,
 )
+
+from fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
+from oracles import enumerate_weak_orders, literal_dominance
 
 
 def forward_literal(S, W):

@@ -23,7 +23,6 @@ from lattimin import (
     validate_laws,
 )
 from lattimin import lattice as lattice_module
-from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, chain
 from lattimin.lattice import (
     BLOCK_ELEMENTS,
     Lattice,
@@ -34,6 +33,7 @@ from lattimin.lattice import (
 from lattimin.testkit import random_distributive_lattice, random_poset
 
 from conftest import mask_family_by_loop, random_tables, same_tables
+from fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, chain
 
 
 class TestBuildLattice:

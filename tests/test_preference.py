@@ -20,27 +20,29 @@ from lattimin import (
     zero_class,
 )
 from lattimin.errors import AxiomsNotSatisfied, TooLarge
-from lattimin.fixtures import B2, B2_A, B2_B, CHAIN3, W3
 from lattimin.lattice import BLOCK_ELEMENTS, Poset, downset_lattice, membership
 from lattimin import preference
 from lattimin.preference import (
     axioms12_hold,
     checked_worst_ranks,
     dense_ranks,
-    trivializer_set,
 )
 from lattimin.duality import nonzero_elements
 from lattimin.testkit import (
-    all_posets,
-    axiom3_by_loop,
     derived_weak_order,
-    enumerate_weak_orders,
-    literal_dominance,
     random_distributive_lattice,
     random_weak_order,
 )
 
 from conftest import random_tables
+from fixtures import B2, B2_A, B2_B, CHAIN3, W3
+from oracles import (
+    all_posets,
+    axiom3_by_loop,
+    enumerate_weak_orders,
+    literal_dominance,
+    trivializer_set,
+)
 
 
 class TestAxiom1:
@@ -56,7 +58,7 @@ class TestAxiom1:
             assert check_axiom1(L, WeakOrder((0,) * L.n)) == []
 
     def test_listing_cap_is_the_exact_count(self, monkeypatch):
-        """check_axiom1 lists up to MAX_AXIOM_PAIRS pairs and refuses one
+        """check_axiom1 lists up to MAX_LISTED_VIOLATIONS pairs and refuses one
         more, on seeded lattices with random orders and domains."""
         rng = random.Random(4)
         counts = set()
@@ -65,10 +67,10 @@ class TestAxiom1:
             W = WeakOrder(random_weak_order(L.n, rng))
             domain = None if seed % 2 else rng.sample(range(L.n), rng.randint(1, L.n))
             pairs = check_axiom1(L, W, domain)
-            monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", len(pairs))
+            monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", len(pairs))
             assert check_axiom1(L, W, domain) == pairs
             if pairs:
-                monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", len(pairs) - 1)
+                monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", len(pairs) - 1)
                 with pytest.raises(TooLarge, match=f"axiom 1 has {len(pairs)} violating pairs"):
                     check_axiom1(L, W, domain)
             monkeypatch.undo()
@@ -200,9 +202,9 @@ class TestAxiom2Certificate:
 
     def test_listing_cap(self, monkeypatch):
         W = WeakOrder((2, 1, 1, 2))  # four triples
-        monkeypatch.setattr(preference, "MAX_AXIOM2_TRIPLES", 4)
+        monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", 4)
         assert len(check_axiom2(B2, W)) == 4
-        monkeypatch.setattr(preference, "MAX_AXIOM2_TRIPLES", 3)
+        monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", 3)
         with pytest.raises(TooLarge, match="axiom 2 has 4 violating triples"):
             check_axiom2(B2, W)
         assert not axioms12_hold(B2, W)  # the verdict lists no triple
@@ -258,7 +260,7 @@ class TestAxiom3:
 
     def test_listing_cap_is_the_exact_count(self, monkeypatch):
         """The count per key, C(size, 2) less C(count, 2) per rank, equals the
-        listing's length: check_axiom3 lists up to MAX_AXIOM_PAIRS pairs and
+        listing's length: check_axiom3 lists up to MAX_LISTED_VIOLATIONS pairs and
         refuses one more."""
         rng = random.Random(5)
         counts = set()
@@ -267,10 +269,10 @@ class TestAxiom3:
             W = (derived_weak_order(L, seed) if seed % 2
                  else WeakOrder(random_weak_order(L.n, rng)))
             pairs = check_axiom3(L, W)
-            monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", len(pairs))
+            monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", len(pairs))
             assert check_axiom3(L, W) == pairs
             if pairs:
-                monkeypatch.setattr(preference, "MAX_AXIOM_PAIRS", len(pairs) - 1)
+                monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", len(pairs) - 1)
                 with pytest.raises(TooLarge, match=f"axiom 3 has {len(pairs)} violating pairs"):
                     check_axiom3(L, W)
             monkeypatch.undo()

@@ -30,7 +30,6 @@ from lattimin import (
 )
 from lattimin import representation as representation_module
 from lattimin.duality import dual_forward
-from lattimin.fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
 from lattimin.lattice import Poset, build_lattice, class_ids, downset_lattice
 from lattimin.preference import zero_class
 from lattimin.spectrum import (
@@ -45,19 +44,22 @@ from lattimin.representation import (
     kernel,
 )
 from lattimin.testkit import (
+    derived_weak_order,
+    random_distributive_lattice,
+    random_representation,
+)
+
+from conftest import mask_family_by_loop, random_tables, same_tables
+from fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
+from oracles import (
     all_posets,
     congruence_by_loop,
-    derived_weak_order,
     duplicate_outcome,
     enumerate_weak_orders,
     kernel_split_by_loop,
     quotient_by_loop,
-    random_distributive_lattice,
-    random_representation,
     trivializer_classes_by_loop,
 )
-
-from conftest import mask_family_by_loop, random_tables, same_tables
 
 
 class TestBetaPrime:

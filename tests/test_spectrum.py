@@ -20,12 +20,13 @@ from lattimin import (
     validate_laws,
 )
 from lattimin import duality_equivalence_report, lattice as lattice_module
-from lattimin.fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3, chain
 from lattimin.lattice import Poset, downset_lattice, membership
 from lattimin.spectrum import SpectralSpace, ideal_witness, is_powerset_hom, point_mask
-from lattimin.testkit import all_posets, powerset_hom_by_loop, random_distributive_lattice
+from lattimin.testkit import random_distributive_lattice
 
 from conftest import random_tables
+from fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3, chain
+from oracles import all_posets, powerset_hom_by_loop
 
 FIXTURES = [CHAIN2, CHAIN3, B2, B3]
 FIXTURE_IDS = ["c2", "c3", "b2", "b3"]

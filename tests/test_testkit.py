@@ -1,14 +1,14 @@
+import ast
+import importlib
+import pathlib
 import random
 
 import pytest
 
+import lattimin
 from lattimin import TooLarge, validate_laws
-from lattimin.fixtures import B2, CHAIN2, CHAIN3
 from lattimin.representation import check_representation_hom
 from lattimin.testkit import (
-    all_posets,
-    duplicate_outcome,
-    enumerate_weak_orders,
     random_distributive_lattice,
     random_poset,
     random_representation,
@@ -16,6 +16,8 @@ from lattimin.testkit import (
 )
 
 from conftest import same_tables
+from fixtures import B2, CHAIN2, CHAIN3
+from oracles import all_posets, duplicate_outcome, enumerate_weak_orders
 
 
 class TestRandomLattice:
@@ -102,3 +104,47 @@ class TestAllPosets:
         for _ in range(50):
             P = random_poset(rng.randint(1, 6), rng)
             assert P.leq.diagonal().all()
+
+
+class TestShippedCode:
+    """lattimin ships what the program uses; the tests' oracles, enumerators
+    and named lattices live under tests/."""
+
+    PACKAGE = pathlib.Path(lattimin.__file__).parent
+    TESTS = pathlib.Path(__file__).parent
+
+    @staticmethod
+    def defined(path):
+        """The names a module's top level defines, not counting imports."""
+        names = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        return names
+
+    def test_testkit_defines_only_the_fuzz_generators(self):
+        assert self.defined(self.PACKAGE / "testkit.py") == {
+            "EDGE_PROB", "MAX_POSET_SIZE", "random_poset", "random_distributive_lattice",
+            "random_weak_order", "random_representation", "derived_weak_order",
+        }
+
+    def test_fixtures_and_oracles_are_not_in_the_package(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("lattimin.fixtures")
+        moved = self.defined(self.TESTS / "oracles.py") | self.defined(self.TESTS / "fixtures.py")
+        for path in self.PACKAGE.glob("*.py"):
+            assert not moved & self.defined(path), path.name
+
+    def test_package_imports_nothing_from_tests(self):
+        local = {"tests"} | {path.stem for path in self.TESTS.glob("*.py")}
+        for path in self.PACKAGE.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                assert not {name.split(".")[0] for name in names} & local, path.name
