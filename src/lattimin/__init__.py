@@ -24,7 +24,6 @@ from .lattice import (
     check_hom,
     downset_lattice,
     is_boolean,
-    lattice_from_order,
     relative_complement,
     relative_complements,
     validate_laws,
@@ -32,11 +31,8 @@ from .lattice import (
 from .spectrum import (
     SpectralSpace,
     check_sigma_isomorphism,
-    classify_subset,
     enumerate_prime_filters,
     finite_topology_report,
-    join_irreducibles,
-    prime_filters_bruteforce,
 )
 from .preference import (
     WeakOrder,

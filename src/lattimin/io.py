@@ -118,20 +118,41 @@ def _labels(value, n: int):
     return value
 
 
+def _reason(e: Exception) -> str:
+    """Why a field was refused: a KeyError, whose message is the bare key,
+    names the missing field."""
+    return f"missing field {e}" if isinstance(e, KeyError) else str(e)
+
+
+def _sigma_rows(sigma: dict, n: int) -> list:
+    """sigma's entries for elements 0..n-1; ValueError unless its keys are
+    exactly "0".."n-1", naming the first missing element, else the first
+    other key in file order."""
+    keys = [str(a) for a in range(n)]
+    if missing := [a for a, key in enumerate(keys) if key not in sigma]:
+        raise ValueError(f"sigma: no entry for element {missing[0]}")
+    if extra := sigma.keys() - set(keys):
+        key = next(k for k in sigma if k in extra)
+        raise ValueError(f"sigma: key {json.dumps(key)} is not an element 0..{n - 1}")
+    return [sigma[key] for key in keys]
+
+
 def lattice_from_dict(d, validate=True) -> Lattice:
     """Build a lattice from its JSON dict.
 
     Every table entry must be a JSON integer, and labels, if given, one
     JSON string per element.  With validate=False the tables are loaded
-    as-is so callers can inspect law violations themselves.  The poset form
-    stands for the lattice of its down-sets, which is lawful by construction.
+    as-is so callers can inspect law violations themselves.  The field n is
+    optional; if given, it must equal the table size, which is checked after
+    the tables' own checks.  The poset form stands for the lattice of its
+    down-sets, which is lawful by construction.
     """
     if "poset" in d:
         try:
             p = _object(d["poset"], "poset")
             P = Poset(_ints(p["n"], "n"), _ints(p["covers"], "covers", 2))
         except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"bad poset block: {e}") from e
+            raise FormatError(f"bad poset block: {_reason(e)}") from e
         return downset_lattice(P)
     try:
         args = (
@@ -141,7 +162,10 @@ def lattice_from_dict(d, validate=True) -> Lattice:
             _ints(d["top"], "top"),
             _labels(d.get("labels"), len(d["meet"])),  # a list: _table read it
         )
-        return build_lattice(*args) if validate else Lattice(*args)
+        L = build_lattice(*args) if validate else Lattice(*args)
+        if "n" in d and (type(d["n"]) is not int or d["n"] != L.n):
+            raise ValueError(f"n: {json.dumps(d['n'])} is not the table size {L.n}")
+        return L
     except KeyError as e:
         raise FormatError(f"lattice file missing field {e}") from e
     except (TypeError, ValueError) as e:
@@ -170,7 +194,7 @@ def load_preference(path, L: Lattice) -> WeakOrder:
     try:
         ranks = _ints(d["ranks"], "ranks", 1)
     except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{path}: bad preference file: {e}") from e
+        raise FormatError(f"{path}: bad preference file: {_reason(e)}") from e
     if len(ranks) != L.n:
         raise FormatError(
             f"{path}: ranks length {len(ranks)} does not match lattice size {L.n}"
@@ -190,12 +214,11 @@ def load_representation(path, L: Lattice) -> Representation:
     d = load_json(path)
     try:
         count = _ints(d["outcomes"], "outcomes")
-        sigma = _object(d["sigma"], "sigma")
-        sets = _ints([sigma[str(a)] for a in range(L.n)], "sigma", 2)
+        sets = _ints(_sigma_rows(_object(d["sigma"], "sigma"), L.n), "sigma", 2)
         ranks = _ints(d["outcome_ranks"], "outcome_ranks", 1)
         return Representation(count, sets, ranks)
     except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{path}: bad representation file: {e}") from e
+        raise FormatError(f"{path}: bad representation file: {_reason(e)}") from e
 
 
 def spectrum_to_dict(S: SpectralSpace) -> dict:

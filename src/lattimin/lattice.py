@@ -63,10 +63,11 @@ class Poset:
             raise TooLarge(f"posets capped at {MAX_POSET_ELEMENTS} elements, got {self.n}")
         if self.n < 0:
             raise ValueError(f"n: {self.n} is negative")
-        object.__setattr__(
-            self, "covers", tuple((int(a), int(b)) for a, b in self.covers)
-        )
-        for a, b in self.covers:
+        object.__setattr__(self, "covers", tuple(tuple(map(int, c)) for c in self.covers))
+        for cover in self.covers:
+            if len(cover) != 2:
+                raise ValueError(f"covers: {list(cover)} is not a pair")
+            a, b = cover
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"cover ({a},{b}) out of range for n={self.n}")
             if a == b:
@@ -184,19 +185,6 @@ class Lattice:
 
         return SpectralSpace(self.leq_table[_certify(self)])  # row i: the up-set of J[i]
 
-    def leq(self, a: int, b: int) -> bool:
-        """a <= b in the canonical order, i.e. a == a meet b."""
-        return bool(self.meet[a, b] == a)
-
-    def upset(self, a: int) -> frozenset:
-        return frozenset(int(x) for x in np.flatnonzero(self.leq_table[a]))
-
-    def downset(self, a: int) -> frozenset:
-        return frozenset(int(x) for x in np.flatnonzero(self.leq_table[:, a]))
-
-    def elements(self) -> range:
-        return range(self.n)
-
 
 def _row_blocks(n: int, width: Optional[int] = None):
     """Slices of 0..n-1 whose rows of `width` entries each (default n * n,
@@ -285,40 +273,6 @@ def build_lattice(meet_table, join_table, bottom, top, labels=None) -> Lattice:
     return L
 
 
-def lattice_from_order(order, labels=None, validate=True) -> Lattice:
-    """Compute meet/join tables from a <=-matrix; NotALattice if some pair
-    lacks a unique greatest lower / least upper bound."""
-    rel = np.asarray(order, dtype=bool)
-    n = rel.shape[0]
-    if rel.shape != (n, n):
-        raise ValueError("order matrix must be square")
-    if not rel.diagonal().all():
-        raise NotALattice("order is not reflexive")
-    if (rel & rel.T & ~np.eye(n, dtype=bool)).any():
-        raise NotALattice("order is not antisymmetric")
-    meet = np.zeros((n, n), dtype=np.intp)
-    join = np.zeros((n, n), dtype=np.intp)
-    for a in range(n):
-        for b in range(n):
-            lower = np.flatnonzero(rel[:, a] & rel[:, b])
-            glb = [int(g) for g in lower if all(rel[x, g] for x in lower)]
-            upper = np.flatnonzero(rel[a] & rel[b])
-            lub = [int(u) for u in upper if all(rel[u, x] for x in upper)]
-            if len(glb) != 1:
-                raise NotALattice(f"pair ({a},{b}) lacks a greatest lower bound")
-            if len(lub) != 1:
-                raise NotALattice(f"pair ({a},{b}) lacks a least upper bound")
-            meet[a, b] = glb[0]
-            join[a, b] = lub[0]
-    bottoms = [a for a in range(n) if rel[a].all()]
-    tops = [a for a in range(n) if rel[:, a].all()]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise NotALattice("order lacks global bounds")
-    if validate:
-        return build_lattice(meet, join, bottoms[0], tops[0], labels)
-    return Lattice(meet, join, bottoms[0], tops[0], labels)
-
-
 def downset_lattice(P: Poset) -> Lattice:
     """Lattice of down-closed subsets of P, ordered by inclusion.
 
@@ -401,14 +355,6 @@ def check_hom(h: LatticeHom) -> bool:
     if not np.array_equal(t.meet[m[:, None], m[None, :]], m[s.meet]):
         return False
     return bool(np.array_equal(t.join[m[:, None], m[None, :]], m[s.join]))
-
-
-def compose(outer: LatticeHom, inner: LatticeHom) -> LatticeHom:
-    if inner.target is not outer.source and inner.target.n != outer.source.n:
-        raise ValueError("homs do not compose")
-    return LatticeHom(
-        inner.source, outer.target, tuple(outer.mapping[x] for x in inner.mapping)
-    )
 
 
 def class_ids(keys) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ from .lattice import (
     Lattice,
     LatticeHom,
     _certify,
+    _row_blocks,
     build_lattice,
     class_ids,
     membership,
@@ -77,23 +78,21 @@ def congruence_from_classes(L: Lattice, classes) -> Congruence:
     """Validate compatibility of a partition; IncompatiblePartition with a
     witness quadruple (a, b, a', b') on failure.
 
-    (a, b) is the first pair, in row-major order, of the class pair that
-    (a', b') shares, and (a', b') the first pair whose result class differs
-    from that of its class pair's first pair; meet is checked before join.
+    (a', b') is the first cell, in row-major order and meet before join,
+    whose class differs from that of (a, b), the first cell of its class
+    pair: the least members of the classes of a' and b', whose cell is the
+    entry of L/θ's table.  The cells are compared over row blocks.
     """
     classes = class_ids(classes)
     c = np.asarray(classes)
-    n = L.n
-    keys = (c[:, None] * n + c[None, :]).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    first_of = first[inverse]  # first occurrence of each pair's key
-    for op, table in (("meet", L.meet), ("join", L.join)):
-        val = c[table].ravel()
-        bad = np.flatnonzero(val != val[first_of])
-        if bad.size:
-            a0, b0 = divmod(int(first_of[bad[0]]), n)
-            a, b = divmod(int(bad[0]), n)
-            raise IncompatiblePartition(op, (a0, b0, a, b))
+    reps = np.unique(c, return_index=True)[1]
+    for op, table, Q in zip(("meet", "join"), (L.meet, L.join), _class_tables(L, c, reps)):
+        for s in _row_blocks(L.n, L.n):
+            bad = c[table[s]] != Q[c[s, None], c]
+            if bad.any():
+                a, b = divmod(int(bad.argmax()), L.n)
+                a += s.start
+                raise IncompatiblePartition(op, (int(reps[c[a]]), int(reps[c[b]]), a, b))
     return Congruence(classes)
 
 
@@ -131,12 +130,16 @@ def congruence_beta_dprime(L: Lattice, I) -> Congruence:
     return C
 
 
-def _class_lattice(L: Lattice, cls: np.ndarray, reps, labels=None) -> Lattice:
-    """L/θ for the congruence θ with class id cls[a] per element a: its
-    element c is class c, and reps holds one element of each class, in class
-    order."""
+def _class_tables(L: Lattice, cls: np.ndarray, reps) -> tuple:
+    """The meet and join tables of L/θ, θ the partition with class id cls[a]
+    per element a, on reps, one element of each class in class order."""
     ix = np.ix_(reps, reps)
-    return build_lattice(cls[L.meet[ix]], cls[L.join[ix]], cls[L.bottom], cls[L.top], labels)
+    return cls[L.meet[ix]], cls[L.join[ix]]
+
+
+def _class_lattice(L: Lattice, cls: np.ndarray, reps, labels=None) -> Lattice:
+    """L/θ for a congruence θ: its element c is class c."""
+    return build_lattice(*_class_tables(L, cls, reps), cls[L.bottom], cls[L.top], labels)
 
 
 def quotient(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
@@ -149,10 +152,6 @@ def quotient(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
     )
     Q = _class_lattice(L, cls, C.representatives, labels)
     return Q, LatticeHom(L, Q, C.classes)
-
-
-def kernel(h: LatticeHom) -> Congruence:
-    return Congruence(class_ids(h.mapping))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,66 +7,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TooLarge
 from .lattice import Lattice, _is_set_hom, row_sets, size_mask_order
-
-
-def point_mask(points) -> int:
-    """Canonical bitmask key for a set of indices (bit i = index i)."""
-    m = 0
-    for i in points:
-        m |= 1 << i
-    return m
-
-
-@dataclass(frozen=True)
-class SubsetClassification:
-    is_filter: bool
-    proper_filter: bool
-    prime_filter: bool
-    is_ideal: bool
-    proper_ideal: bool
-    prime_ideal: bool
-
-
-def classify_subset(L: Lattice, S) -> SubsetClassification:
-    """Full filter/ideal classification flags for a subset of elements."""
-    S = frozenset(int(x) for x in S)
-    members = sorted(S)
-    nonempty = bool(S)
-    proper = len(S) < L.n
-
-    up_closed = all(b in S for a in members for b in range(L.n) if L.leq(a, b))
-    meet_closed = all(int(L.meet[a, b]) in S for a in members for b in members)
-    is_filter = nonempty and up_closed and meet_closed
-    proper_filter = is_filter and proper
-    prime_filter = proper_filter and all(
-        a in S or b in S
-        for a in range(L.n)
-        for b in range(L.n)
-        if int(L.join[a, b]) in S
-    )
-
-    down_closed = all(b in S for a in members for b in range(L.n) if L.leq(b, a))
-    join_closed = all(int(L.join[a, b]) in S for a in members for b in members)
-    is_ideal = nonempty and down_closed and join_closed
-    proper_ideal = is_ideal and proper
-    prime_ideal = proper_ideal and all(
-        a in S or b in S
-        for a in range(L.n)
-        for b in range(L.n)
-        if int(L.meet[a, b]) in S
-    )
-    return SubsetClassification(
-        is_filter, proper_filter, prime_filter, is_ideal, proper_ideal, prime_ideal
-    )
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralSpace:
     """Prime filters of a lattice as one read-only boolean matrix: member[i, a]
-    iff point i contains element a, its rows put in canonical (point_mask)
-    order here.  Column a is sigma(a); the frozensets are views built on use."""
+    iff point i contains element a, its rows put in canonical order here,
+    ascending bitmask of its elements.  Column a is sigma(a); the frozensets
+    are views built on use."""
 
     member: np.ndarray
 
@@ -96,40 +45,11 @@ class SpectralSpace:
 
 
 def enumerate_prime_filters(L: Lattice) -> SpectralSpace:
-    """All prime filters in point_mask order: by Birkhoff's theorem the up-sets
-    of the join-irreducibles that the law certificate (``Lattice.birkhoff``)
-    finds.  Computed once per lattice and shared (``Lattice.spectrum``);
+    """All prime filters in ascending bitmask order: by Birkhoff's theorem
+    the up-sets of the join-irreducibles that the law certificate
+    (``Lattice.birkhoff``) finds.  Computed once per lattice and shared (``Lattice.spectrum``);
     LawViolation if L is not lawful."""
     return L.spectrum
-
-
-def prime_filters_bruteforce(L: Lattice) -> list:
-    """Independent oracle: scan all 2^n subsets.  Capped at n <= 20."""
-    if L.n > 20:
-        raise TooLarge(f"brute-force filter scan capped at 20 elements, got {L.n}")
-    out = []
-    for mask in range(1, 1 << L.n):
-        S = frozenset(i for i in range(L.n) if mask >> i & 1)
-        if classify_subset(L, S).prime_filter:
-            out.append(S)
-    out.sort(key=point_mask)
-    return out
-
-
-def join_irreducibles(L: Lattice) -> frozenset:
-    """Non-bottom elements j with j == x | y implying j in {x, y}."""
-    out = set()
-    for j in range(L.n):
-        if j == L.bottom:
-            continue
-        if all(
-            x == j or y == j
-            for x in range(L.n)
-            for y in range(L.n)
-            if int(L.join[x, y]) == j
-        ):
-            out.add(j)
-    return frozenset(out)
 
 
 def is_powerset_hom(L: Lattice, M: np.ndarray) -> bool:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from lattimin.lattice import Lattice, Poset, build_lattice, downset_lattice, lattice_from_order
+import numpy as np
+
+from lattimin.lattice import Lattice, Poset, build_lattice, downset_lattice
 from lattimin.preference import WeakOrder
+
+from oracles import lattice_from_order
 
 
 def chain(k: int, labels=None) -> Lattice:
@@ -11,6 +15,11 @@ def chain(k: int, labels=None) -> Lattice:
     meet = [[min(i, j) for j in range(k)] for i in range(k)]
     join = [[max(i, j) for j in range(k)] for i in range(k)]
     return build_lattice(meet, join, 0, k - 1, labels)
+
+
+def principal(L: Lattice, a: int, up: bool = False) -> frozenset:
+    """The elements below a, or with up=True the elements above a."""
+    return frozenset(np.flatnonzero(L.leq_table[a] if up else L.leq_table[:, a]).tolist())
 
 
 CHAIN2 = chain(2, ("0", "1"))

@@ -5,11 +5,12 @@ element or pair at a time."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from lattimin.errors import IncompatiblePartition, TooLarge
-from lattimin.lattice import Lattice, Poset, class_ids
+from lattimin.errors import IncompatiblePartition, NotALattice, TooLarge
+from lattimin.lattice import Lattice, LatticeHom, Poset, build_lattice, class_ids
 from lattimin.preference import WeakOrder, dense_ranks
 from lattimin.representation import Congruence, Representation
 
@@ -161,3 +162,129 @@ def all_posets(size: int):
             if not any((i, k) in rel and (k, j) in rel for k in range(size))
         ]
         yield Poset(size, tuple(covers))
+
+
+def point_mask(points) -> int:
+    """Canonical bitmask key for a set of indices (bit i = index i)."""
+    m = 0
+    for i in points:
+        m |= 1 << i
+    return m
+
+
+@dataclass(frozen=True)
+class SubsetClassification:
+    is_filter: bool
+    proper_filter: bool
+    prime_filter: bool
+    is_ideal: bool
+    proper_ideal: bool
+    prime_ideal: bool
+
+
+def classify_subset(L: Lattice, S) -> SubsetClassification:
+    """Full filter/ideal classification flags for a subset of elements."""
+    S = frozenset(int(x) for x in S)
+    members = sorted(S)
+    nonempty = bool(S)
+    proper = len(S) < L.n
+
+    up_closed = all(b in S for a in members for b in range(L.n) if L.leq_table[a, b])
+    meet_closed = all(int(L.meet[a, b]) in S for a in members for b in members)
+    is_filter = nonempty and up_closed and meet_closed
+    proper_filter = is_filter and proper
+    prime_filter = proper_filter and all(
+        a in S or b in S
+        for a in range(L.n)
+        for b in range(L.n)
+        if int(L.join[a, b]) in S
+    )
+
+    down_closed = all(b in S for a in members for b in range(L.n) if L.leq_table[b, a])
+    join_closed = all(int(L.join[a, b]) in S for a in members for b in members)
+    is_ideal = nonempty and down_closed and join_closed
+    proper_ideal = is_ideal and proper
+    prime_ideal = proper_ideal and all(
+        a in S or b in S
+        for a in range(L.n)
+        for b in range(L.n)
+        if int(L.meet[a, b]) in S
+    )
+    return SubsetClassification(
+        is_filter, proper_filter, prime_filter, is_ideal, proper_ideal, prime_ideal
+    )
+
+
+def prime_filters_bruteforce(L: Lattice) -> list:
+    """Independent oracle: scan all 2^n subsets.  Capped at n <= 20."""
+    if L.n > 20:
+        raise TooLarge(f"brute-force filter scan capped at 20 elements, got {L.n}")
+    out = []
+    for mask in range(1, 1 << L.n):
+        S = frozenset(i for i in range(L.n) if mask >> i & 1)
+        if classify_subset(L, S).prime_filter:
+            out.append(S)
+    out.sort(key=point_mask)
+    return out
+
+
+def join_irreducibles(L: Lattice) -> frozenset:
+    """Non-bottom elements j with j == x | y implying j in {x, y}."""
+    out = set()
+    for j in range(L.n):
+        if j == L.bottom:
+            continue
+        if all(
+            x == j or y == j
+            for x in range(L.n)
+            for y in range(L.n)
+            if int(L.join[x, y]) == j
+        ):
+            out.add(j)
+    return frozenset(out)
+
+
+def lattice_from_order(order, labels=None, validate=True) -> Lattice:
+    """Compute meet/join tables from a <=-matrix; NotALattice if some pair
+    lacks a unique greatest lower / least upper bound."""
+    rel = np.asarray(order, dtype=bool)
+    n = rel.shape[0]
+    if rel.shape != (n, n):
+        raise ValueError("order matrix must be square")
+    if not rel.diagonal().all():
+        raise NotALattice("order is not reflexive")
+    if (rel & rel.T & ~np.eye(n, dtype=bool)).any():
+        raise NotALattice("order is not antisymmetric")
+    meet = np.zeros((n, n), dtype=np.intp)
+    join = np.zeros((n, n), dtype=np.intp)
+    for a in range(n):
+        for b in range(n):
+            lower = np.flatnonzero(rel[:, a] & rel[:, b])
+            glb = [int(g) for g in lower if all(rel[x, g] for x in lower)]
+            upper = np.flatnonzero(rel[a] & rel[b])
+            lub = [int(u) for u in upper if all(rel[u, x] for x in upper)]
+            if len(glb) != 1:
+                raise NotALattice(f"pair ({a},{b}) lacks a greatest lower bound")
+            if len(lub) != 1:
+                raise NotALattice(f"pair ({a},{b}) lacks a least upper bound")
+            meet[a, b] = glb[0]
+            join[a, b] = lub[0]
+    bottoms = [a for a in range(n) if rel[a].all()]
+    tops = [a for a in range(n) if rel[:, a].all()]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise NotALattice("order lacks global bounds")
+    if validate:
+        return build_lattice(meet, join, bottoms[0], tops[0], labels)
+    return Lattice(meet, join, bottoms[0], tops[0], labels)
+
+
+def compose(outer: LatticeHom, inner: LatticeHom) -> LatticeHom:
+    if inner.target is not outer.source and inner.target.n != outer.source.n:
+        raise ValueError("homs do not compose")
+    return LatticeHom(
+        inner.source, outer.target, tuple(outer.mapping[x] for x in inner.mapping)
+    )
+
+
+def kernel(h: LatticeHom) -> Congruence:
+    return Congruence(class_ids(h.mapping))

@@ -21,7 +21,6 @@ from lattimin import (
     enumerate_prime_filters,
     factor_check,
     finite_topology_report,
-    join_irreducibles,
     minimal_representation,
     duality_equivalence_report,
     verify_representation,
@@ -35,11 +34,12 @@ from lattimin.testkit import (
     random_weak_order,
 )
 
-from fixtures import B1, B2, B3, CHAIN2, CHAIN3
+from fixtures import B1, B2, B3, CHAIN2, CHAIN3, principal
 from oracles import (
     all_posets,
     duplicate_outcome,
     enumerate_weak_orders,
+    join_irreducibles,
     literal_dominance,
 )
 
@@ -193,7 +193,7 @@ def test_criterion_6_irreducible_filter_bijection(capsys):
     for L in lattices:
         points = set(enumerate_prime_filters(L).points)
         irr = join_irreducibles(L)
-        images = {frozenset(L.upset(j)) for j in irr}
+        images = {frozenset(principal(L, j, up=True)) for j in irr}
         if len(points) != len(irr) or images != points:
             failures += 1
     elapsed = time.perf_counter() - t0

@@ -714,6 +714,8 @@ class TestInputErrors:
         assert capsys.readouterr().err == "error: posets capped at 16 elements, got 1500\n"
 
     RAGGED = "bad lattice tables: meet and join must be square tables of equal size"
+    TABLES3 = {"bottom": 0, "top": 2, "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+               "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]]}
 
     @pytest.mark.parametrize("kind, value, message", [
         ("lattice", {"poset": [1, 2]}, "bad poset block: poset: expected a JSON object"),
@@ -726,8 +728,22 @@ class TestInputErrors:
          "bad representation file: sigma: expected a JSON object"),
         ("rep", {"outcomes": 2, "sigma": "012", "outcome_ranks": [1, 0]},
          "bad representation file: sigma: expected a JSON object"),
+        ("lattice", {"poset": {"n": 3, "covers": [[0, 1, 2]]}},
+         "bad poset block: covers: [0, 1, 2] is not a pair"),
+        ("lattice", {"poset": {"n": 3, "covers": [[0]]}}, "bad poset block: covers: [0] is not a pair"),
+        ("lattice", {"poset": {"n": 2}}, "bad poset block: missing field 'covers'"),
+        ("rep", {"outcomes": 2, "sigma": {"0": [], "1": [1]}, "outcome_ranks": [1, 0]},
+         "bad representation file: sigma: no entry for element 2"),
+        ("rep", {"outcomes": 1, "sigma": {"0": [], "1": [0], "2": [0], "7": [0], "x": 5},
+                 "outcome_ranks": [0]},
+         'bad representation file: sigma: key "7" is not an element 0..2'),
+        ("rep", {"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]}},
+         "bad representation file: missing field 'outcome_ranks'"),
+        ("lattice", {**TABLES3, "n": 7}, "bad lattice tables: n: 7 is not the table size 3"),
+        ("lattice", {**TABLES3, "n": "3"}, 'bad lattice tables: n: "3" is not the table size 3'),
     ], ids=["poset-list", "poset-negative-n", "ragged-meet", "ragged-join", "sigma-list",
-            "sigma-string"])
+            "sigma-string", "cover-triple", "cover-single", "poset-no-covers", "sigma-no-entry",
+            "sigma-extra-keys", "rep-no-ranks", "table-n-mismatch", "table-n-string"])
     def test_refusal_names_the_field(self, chain3_file, w3_file, tmp_path, capsys, kind, value,
                                      message):
         path = tmp_path / "input.json"
@@ -740,6 +756,12 @@ class TestInputErrors:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_missing_ranks_names_the_field(self, chain3_file, tmp_path, capsys):
+        path = tmp_path / "pref.json"
+        path.write_text(json.dumps({"rank": [0, 1, 2]}))
+        assert main(["axioms", "--lattice", chain3_file, "--pref", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad preference file: missing field 'ranks'\n"
 
 
 class TestByteBudget:

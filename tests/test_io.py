@@ -38,7 +38,7 @@ def write_json(directory, name, obj):
 def test_lattice_round_trip(seed, labelled):
     L = random_distributive_lattice(5, seed)
     if labelled:
-        L = Lattice(L.meet, L.join, L.bottom, L.top, [f"e{a}" for a in L.elements()])
+        L = Lattice(L.meet, L.join, L.bottom, L.top, [f"e{a}" for a in range(L.n)])
     back = lattice_from_dict(json.loads(json.dumps(lattice_to_dict(L))))
     assert same_tables(back, L) and back.labels == L.labels
 

@@ -309,7 +309,7 @@ class TestStrictUpperContour:
             for ranks in enumerate_weak_orders(L.n):
                 W = WeakOrder(ranks)
                 if axioms12_hold(L, W):
-                    for a in L.elements():
+                    for a in range(L.n):
                         rep = strict_upper_contour(L, W, a)
                         assert rep.is_ideal and rep.proper
 
@@ -325,7 +325,7 @@ class TestZeroClass:
 
     def test_total_indifference_flagged_improper(self):
         rep = zero_class(B2, WeakOrder((0, 0, 0, 0)))
-        assert rep.members == frozenset(B2.elements())
+        assert rep.members == frozenset(range(B2.n))
         assert not rep.proper
 
     def test_non_ideal_raises(self):

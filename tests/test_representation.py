@@ -28,21 +28,12 @@ from lattimin import (
     quotient,
     verify_representation,
 )
-from lattimin import representation as representation_module
+from lattimin import lattice as lattice_module, representation as representation_module
 from lattimin.duality import dual_forward
 from lattimin.lattice import Poset, build_lattice, class_ids, downset_lattice
 from lattimin.preference import zero_class
-from lattimin.spectrum import (
-    classify_subset,
-    enumerate_prime_filters,
-    join_irreducibles,
-    point_mask,
-)
-from lattimin.representation import (
-    check_representation_hom,
-    congruence_from_classes,
-    kernel,
-)
+from lattimin.spectrum import enumerate_prime_filters
+from lattimin.representation import check_representation_hom, congruence_from_classes
 from lattimin.testkit import (
     derived_weak_order,
     random_distributive_lattice,
@@ -50,13 +41,17 @@ from lattimin.testkit import (
 )
 
 from conftest import mask_family_by_loop, random_tables, same_tables
-from fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
+from fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3, principal
 from oracles import (
     all_posets,
+    classify_subset,
     congruence_by_loop,
     duplicate_outcome,
     enumerate_weak_orders,
+    join_irreducibles,
+    kernel,
     kernel_split_by_loop,
+    point_mask,
     quotient_by_loop,
     trivializer_classes_by_loop,
 )
@@ -89,7 +84,7 @@ class TestBetaDoublePrime:
         assert congruence_beta_dprime(B2, {0}).classes == (0, 1, 2, 3)
 
     def test_whole_lattice_is_its_own_ideal(self):
-        C = congruence_beta_dprime(B2, set(B2.elements()))
+        C = congruence_beta_dprime(B2, set(range(B2.n)))
         assert C.num_classes == 1
 
     def test_beta_prime_refines_beta_dprime(self):
@@ -97,11 +92,11 @@ class TestBetaDoublePrime:
         for seed in range(60):
             L = random_distributive_lattice(4, seed)
             x = rng.randrange(L.n)
-            I = L.downset(x)
+            I = principal(L, x)
             fine = congruence_beta_prime(L, I)
             coarse = congruence_beta_dprime(L, I)
-            for a in L.elements():
-                for b in L.elements():
+            for a in range(L.n):
+                for b in range(L.n):
                     if fine.cls(a) == fine.cls(b):
                         assert coarse.cls(a) == coarse.cls(b)
 
@@ -109,7 +104,7 @@ class TestBetaDoublePrime:
         for seed in range(60):
             L = random_distributive_lattice(4, seed)
             x = random.Random(seed).randrange(L.n)
-            I = L.downset(x)
+            I = principal(L, x)
             for C in (congruence_beta_prime(L, I), congruence_beta_dprime(L, I)):
                 assert C.members(C.cls(L.bottom)) == I
 
@@ -120,7 +115,7 @@ class TestBetaDoublePrime:
                  for seed in (200, 208)]
         for seed in range(60):
             L = random_distributive_lattice(5, seed)
-            cases += [(L, L.downset(m)) for m in L.elements()]
+            cases += [(L, principal(L, m)) for m in range(L.n)]
             cases.append((L, zero_class(L, derived_weak_order(L, seed)).members))
         counts = set()
         for L, I in cases:
@@ -137,8 +132,8 @@ class TestBetaDoublePrime:
         outcomes = set()
         for seed in range(1, 400, 2):
             L = random_tables(seed)
-            for m in L.elements():
-                I = L.downset(m)
+            for m in range(L.n):
+                I = principal(L, m)
                 if not classify_subset(L, I).is_ideal:
                     continue
                 try:
@@ -200,21 +195,43 @@ class TestQuotient:
             L = random_distributive_lattice(5, seed)
             if seed % 2:  # a congruence: classes of a | m for a fixed m
                 m = rng.randrange(L.n)
-                classes = [int(L.join[a, m]) for a in L.elements()]
+                classes = [int(L.join[a, m]) for a in range(L.n)]
             else:
                 k = rng.randint(1, L.n)
-                classes = [rng.randrange(k) for _ in L.elements()]
+                classes = [rng.randrange(k) for _ in range(L.n)]
             fast = outcome(congruence_from_classes, L, classes)
             assert fast == outcome(congruence_by_loop, L, classes), seed
             outcomes.add(fast[0] if isinstance(fast, tuple) else "congruence")
         assert outcomes == {"meet", "join", "congruence"}
 
+    def test_congruence_check_matches_loop_oracle_over_row_blocks(self, monkeypatch):
+        """With a few rows per block, the first bad cell often lies past the
+        first block, and its witness is still the loop's."""
+        monkeypatch.setattr(lattice_module, "BLOCK_ELEMENTS", 8)
+        rng = random.Random(6)
+        past_first_block = 0
+        for seed in range(200):
+            L = random_distributive_lattice(6, seed)
+            k = rng.randint(2, 4)
+            classes = [rng.randrange(k) for _ in range(L.n)]
+            try:
+                fast = congruence_from_classes(L, classes)
+            except IncompatiblePartition as e:
+                fast = e.op, e.witness
+                past_first_block += e.witness[2] >= lattice_module._row_blocks(L.n, L.n)[0].stop
+            try:
+                slow = congruence_by_loop(L, classes)
+            except IncompatiblePartition as e:
+                slow = e.op, e.witness
+            assert fast == slow, seed
+        assert past_first_block >= 50, past_first_block
+
     def test_tables_and_labels_match_loop_oracle(self):
         for seed in range(60):
             L = random_distributive_lattice(5, seed)
             unlabeled = Lattice(L.meet, L.join, L.bottom, L.top)
-            for m in L.elements():
-                I = L.downset(m)
+            for m in range(L.n):
+                I = principal(L, m)
                 for C in (congruence_beta_prime(L, I), congruence_beta_dprime(L, I)):
                     for K in (L, unlabeled):
                         Q, h = quotient(K, C)
@@ -228,9 +245,9 @@ class TestQuotient:
         compared = 0
         for seed in range(1, 400, 2):
             L = random_tables(seed)
-            for m in L.elements():
+            for m in range(L.n):
                 try:
-                    C = congruence_from_classes(L, [int(L.join[a, m]) for a in L.elements()])
+                    C = congruence_from_classes(L, [int(L.join[a, m]) for a in range(L.n)])
                     Q, _ = quotient(L, C)
                 except (IncompatiblePartition, LawViolation):
                     continue
@@ -282,7 +299,7 @@ def coarsest_compatible_by_removal(L, W):
     J = sorted(join_irreducibles(L))
 
     def classes(kept):
-        return class_ids(frozenset(j for j in kept if L.leq(j, a)) for a in L.elements())
+        return class_ids(frozenset(j for j in kept if L.leq_table[j, a]) for a in range(L.n))
 
     def compatible(cls):
         rank_of = {}

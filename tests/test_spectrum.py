@@ -11,22 +11,26 @@ from lattimin import (
     Representation,
     build_lattice,
     check_sigma_isomorphism,
-    classify_subset,
     enumerate_prime_filters,
     finite_topology_report,
     is_boolean,
-    join_irreducibles,
-    prime_filters_bruteforce,
     validate_laws,
 )
 from lattimin import duality_equivalence_report, lattice as lattice_module
 from lattimin.lattice import Poset, downset_lattice, membership
-from lattimin.spectrum import SpectralSpace, ideal_witness, is_powerset_hom, point_mask
+from lattimin.spectrum import SpectralSpace, ideal_witness, is_powerset_hom
 from lattimin.testkit import random_distributive_lattice
 
 from conftest import random_tables
-from fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3, chain
-from oracles import all_posets, powerset_hom_by_loop
+from fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, W3, chain, principal
+from oracles import (
+    all_posets,
+    classify_subset,
+    join_irreducibles,
+    point_mask,
+    powerset_hom_by_loop,
+    prime_filters_bruteforce,
+)
 
 FIXTURES = [CHAIN2, CHAIN3, B2, B3]
 FIXTURE_IDS = ["c2", "c3", "b2", "b3"]
@@ -38,7 +42,7 @@ class TestClassifySubset:
 
     def test_whole_carrier_is_improper_filter(self):
         for L in FIXTURES:
-            cls = classify_subset(L, set(L.elements()))
+            cls = classify_subset(L, set(range(L.n)))
             assert cls.is_filter and not cls.proper_filter
 
     def test_b2_top_singleton_proper_not_prime(self):
@@ -133,8 +137,8 @@ class TestSigma:
     @pytest.mark.parametrize("L", FIXTURES, ids=FIXTURE_IDS)
     def test_sigma_is_hom(self, L):
         S = enumerate_prime_filters(L)
-        for a in L.elements():
-            for b in L.elements():
+        for a in range(L.n):
+            for b in range(L.n):
                 assert S.sigma(int(L.meet[a, b])) == S.sigma(a) & S.sigma(b)
                 assert S.sigma(int(L.join[a, b])) == S.sigma(a) | S.sigma(b)
 
@@ -150,7 +154,7 @@ class TestJoinIrreducibles:
         S = enumerate_prime_filters(L)
         ji = join_irreducibles(L)
         assert len(S.points) == len(ji)
-        assert {L.upset(j) for j in ji} == set(S.points)
+        assert {principal(L, j, up=True) for j in ji} == set(S.points)
 
 
 class TestSigmaIsomorphism:
@@ -179,12 +183,12 @@ class TestIsPowersetHom:
     @staticmethod
     def meets_ok(L, images):
         return all(images[int(L.meet[a, b])] == images[a] & images[b]
-                   for a in L.elements() for b in L.elements())
+                   for a in range(L.n) for b in range(L.n))
 
     @staticmethod
     def joins_ok(L, images):
         return all(images[int(L.join[a, b])] == images[a] | images[b]
-                   for a in L.elements() for b in L.elements())
+                   for a in range(L.n) for b in range(L.n))
 
     def verdict(self, L, images, size):
         fast = is_powerset_hom(L, membership(images, size))
@@ -243,11 +247,11 @@ class TestIsPowersetHom:
         if pick == 0:
             S = sorted(join_irreducibles(L))
         elif pick == 1:
-            S = [s for s in L.elements() if s != L.bottom]
+            S = [s for s in range(L.n) if s != L.bottom]
         else:
             S = rng.sample(range(L.n), rng.randint(0, L.n))
         images = [frozenset(i for i, x in enumerate(S) if L.meet[x, a] == x)
-                  for a in L.elements()]
+                  for a in range(L.n)]
         images[L.bottom], images[L.top] = frozenset(), frozenset(range(len(S)))
         return images, len(S)
 
@@ -307,10 +311,10 @@ class TestSpectralSpaceForm:
             assert not S.member.flags.writeable
             assert S.member.shape == (len(S.points), L.n)
             assert [sorted(F) for F in S.points] == [
-                [a for a in L.elements() if S.member[i, a]] for i in range(len(S.points))
+                [a for a in range(L.n) if S.member[i, a]] for i in range(len(S.points))
             ]
             assert all(S.sigma(a) == {i for i, F in enumerate(S.points) if a in F}
-                       for a in L.elements())
+                       for a in range(L.n))
 
 
 def ideal_witness_by_loop(L, I):
@@ -318,7 +322,7 @@ def ideal_witness_by_loop(L, I):
     then the first b, down-closure tested before join-closure."""
     for a in sorted(I):
         for b in range(L.n):
-            if L.leq(b, a) and b not in I:
+            if L.leq_table[b, a] and b not in I:
                 return a, b, "down-closure"
             if b in I and int(L.join[a, b]) not in I:
                 return a, b, "join-closure"
@@ -331,9 +335,9 @@ class TestIdealWitness:
         """A principal down-set (an ideal on lawful tables), a union of two
         (down-closed, perhaps not join-closed) and a random subset."""
         picks = [rng.randrange(L.n) for _ in range(3)]
-        yield L.downset(picks[0])
-        yield L.downset(picks[1]) | L.downset(picks[2])
-        yield frozenset(a for a in L.elements() if rng.random() < 0.5)
+        yield principal(L, picks[0])
+        yield principal(L, picks[1]) | principal(L, picks[2])
+        yield frozenset(a for a in range(L.n) if rng.random() < 0.5)
 
     def test_matches_loop_and_classify_subset(self):
         rng = random.Random(5)
