@@ -9,7 +9,7 @@ import os
 import numpy as np
 
 from .errors import LattiminError, TooLarge
-from .lattice import Lattice, Poset, build_lattice, downset_lattice, row_lists
+from .lattice import Lattice, Poset, _certify, build_lattice, downset_lattice, row_lists
 from .preference import WeakOrder
 from .representation import Representation
 from .spectrum import SpectralSpace
@@ -19,25 +19,45 @@ class FormatError(LattiminError):
     """Input file is malformed; message carries a position when available."""
 
 
-# Largest input file, in bytes, refused before json.load parses it.
+# Largest input file, in bytes, refused before it is read.
 MAX_FILE_BYTES = 32 << 20
+
+
+def _read(path) -> bytes:
+    """The bytes of the file at path; FormatError if it cannot be read,
+    TooLarge if it has more than MAX_FILE_BYTES bytes."""
+    try:
+        with open(path, "rb") as fh:
+            if (size := os.fstat(fh.fileno()).st_size) > MAX_FILE_BYTES:
+                raise TooLarge(f"{path}: {size} bytes, over the input budget of {MAX_FILE_BYTES}")
+            return fh.read()
+    except OSError as e:
+        raise FormatError(f"{path}: {e.strerror}") from e
+
+
+def _decode(path, data: bytes) -> dict:
+    """The JSON object in data, the bytes of the file at path, read as strict
+    UTF-8 (a byte order mark is refused); FormatError if it is not UTF-8 text,
+    not JSON, or not an object."""
+    try:
+        text = data.decode()
+        if "\r" in text:  # universal newlines, so error positions count lines as text reads do
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        d = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    if not isinstance(d, dict):
+        raise FormatError(f"{path}: top level must be a JSON object")
+    return d
 
 
 def load_json(path) -> dict:
     """The JSON object in the file at path; FormatError if it cannot be read
-    or is not an object, TooLarge if it has more than MAX_FILE_BYTES bytes."""
-    try:
-        with open(path) as fh:
-            if (size := os.fstat(fh.fileno()).st_size) > MAX_FILE_BYTES:
-                raise TooLarge(f"{path}: {size} bytes, over the input budget of {MAX_FILE_BYTES}")
-            d = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    except OSError as e:
-        raise FormatError(f"{path}: {e.strerror}") from e
-    if not isinstance(d, dict):
-        raise FormatError(f"{path}: top level must be a JSON object")
-    return d
+    or is not a UTF-8 JSON object, TooLarge if it has more than
+    MAX_FILE_BYTES bytes."""
+    return _decode(path, _read(path))
 
 
 # Every integer read from a file lies strictly between -INT_LIMIT and
@@ -137,6 +157,16 @@ def _sigma_rows(sigma: dict, n: int) -> list:
     return [sigma[key] for key in keys]
 
 
+TABLE_FIELDS = ("n", "meet", "join", "bottom", "top", "labels")
+POSET_FIELDS = ("n", "covers")
+
+
+def _unknown_key(d: dict, fields) -> str | None:
+    """The first key of d, in file order, that is not one of fields, quoted
+    as JSON; None if there is none."""
+    return next((json.dumps(k) for k in d if k not in fields), None)
+
+
 def lattice_from_dict(d, validate=True) -> Lattice:
     """Build a lattice from its JSON dict.
 
@@ -145,15 +175,25 @@ def lattice_from_dict(d, validate=True) -> Lattice:
     as-is so callers can inspect law violations themselves.  The field n is
     optional; if given, it must equal the table size, which is checked after
     the tables' own checks.  The poset form stands for the lattice of its
-    down-sets, which is lawful by construction.
+    down-sets, which is lawful by construction.  A key outside the form's
+    fields (TABLE_FIELDS; "poset" alone, and POSET_FIELDS in its block) is
+    refused, the first in file order, before any field is read.
     """
     if "poset" in d:
+        if key := _unknown_key(d, ("poset",)):
+            raise FormatError(f'lattice file: key {key} is not a field of the poset form ("poset")')
         try:
             p = _object(d["poset"], "poset")
+            if key := _unknown_key(p, POSET_FIELDS):
+                raise ValueError(f"key {key} is not a field ({', '.join(POSET_FIELDS)})")
             P = Poset(_ints(p["n"], "n"), _ints(p["covers"], "covers", 2))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bad poset block: {_reason(e)}") from e
         return downset_lattice(P)
+    if key := _unknown_key(d, TABLE_FIELDS):
+        raise FormatError(
+            f"lattice file: key {key} is not a field of the table form ({', '.join(TABLE_FIELDS)})"
+        )
     try:
         args = (
             _table(d["meet"], "meet"),
@@ -185,8 +225,31 @@ def lattice_to_dict(L: Lattice) -> dict:
     return d
 
 
+# The bytes of the last lattice file loaded, and the Lattice read from them.
+_last_lattice: tuple = (None, None)
+
+
 def load_lattice(path, validate=True) -> Lattice:
-    return lattice_from_dict(load_json(path), validate=validate)
+    """lattice_from_dict of the JSON object in the file at path.
+
+    A file whose bytes equal those of the last lattice file loaded gives
+    the same (immutable) Lattice again, unparsed, whatever its path or
+    mtime; its law certificate is cached on it (Lattice.birkhoff), so a
+    process parses and certifies each distinct content once.  Only the
+    last file is kept, and only once it has loaded; the byte budget is
+    checked on every load, and validate on a lawless table raises the
+    LawViolation a first load would.
+    """
+    global _last_lattice
+    data = _read(path)
+    last, L = _last_lattice
+    if last == data:
+        if validate and L.birkhoff is None:
+            _certify(L)
+        return L
+    L = lattice_from_dict(_decode(path, data), validate=validate)
+    _last_lattice = data, L
+    return L
 
 
 def load_preference(path, L: Lattice) -> WeakOrder:

@@ -142,7 +142,9 @@ class Lattice:
 
     @cached_property
     def leq_table(self) -> np.ndarray:
-        return self.meet == np.arange(self.n)[:, None]
+        leq = self.meet == np.arange(self.n)[:, None]
+        leq.setflags(write=False)  # shared by every caller
+        return leq
 
     @cached_property
     def birkhoff(self) -> Optional[np.ndarray]:

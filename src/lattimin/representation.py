@@ -75,7 +75,8 @@ class Congruence:
 
 
 def congruence_from_classes(L: Lattice, classes) -> Congruence:
-    """Validate compatibility of a partition; IncompatiblePartition with a
+    """Validate compatibility of a partition, one class per element of L;
+    ValueError if its length is not L.n, IncompatiblePartition with a
     witness quadruple (a, b, a', b') on failure.
 
     (a', b') is the first cell, in row-major order and meet before join,
@@ -84,6 +85,8 @@ def congruence_from_classes(L: Lattice, classes) -> Congruence:
     entry of L/θ's table.  The cells are compared over row blocks.
     """
     classes = class_ids(classes)
+    if len(classes) != L.n:
+        raise ValueError(f"classes: {len(classes)} entries for {L.n} elements")
     c = np.asarray(classes)
     reps = np.unique(c, return_index=True)[1]
     for op, table, Q in zip(("meet", "join"), (L.meet, L.join), _class_tables(L, c, reps)):

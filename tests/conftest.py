@@ -1,9 +1,18 @@
 import random
 
 import numpy as np
+import pytest
 
+from lattimin import io as io_module
 from lattimin.lattice import Lattice
 from lattimin.testkit import random_distributive_lattice
+
+
+@pytest.fixture(autouse=True)
+def fresh_lattice_memo(monkeypatch):
+    """Each test starts with no lattice file remembered by io.load_lattice,
+    so a test that writes a file parses it, whatever earlier tests loaded."""
+    monkeypatch.setattr(io_module, "_last_lattice", (None, None))
 
 
 def same_tables(L1, L2):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattimin
-from lattimin import cli, io as io_module, preference
+from lattimin import cli, io as io_module, lattice as lattice_module, preference
 from lattimin.cli import main
 from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
@@ -741,9 +741,20 @@ class TestInputErrors:
          "bad representation file: missing field 'outcome_ranks'"),
         ("lattice", {**TABLES3, "n": 7}, "bad lattice tables: n: 7 is not the table size 3"),
         ("lattice", {**TABLES3, "n": "3"}, 'bad lattice tables: n: "3" is not the table size 3'),
+        ("lattice", {"poset": {"n": 2, "covers": []}, "meet": [[0]], "join": [[0]]},
+         'lattice file: key "meet" is not a field of the poset form ("poset")'),
+        ("lattice", {"bottom": 0, "poset": {"n": 2, "covers": []}},
+         'lattice file: key "bottom" is not a field of the poset form ("poset")'),
+        ("lattice", {**TABLES3, "comment": "x", "covers": []},
+         'lattice file: key "comment" is not a field of the table form'
+         ' (n, meet, join, bottom, top, labels)'),
+        ("lattice", {"poset": {"n": 2, "cover": [], "covers": []}},
+         'bad poset block: key "cover" is not a field (n, covers)'),
     ], ids=["poset-list", "poset-negative-n", "ragged-meet", "ragged-join", "sigma-list",
             "sigma-string", "cover-triple", "cover-single", "poset-no-covers", "sigma-no-entry",
-            "sigma-extra-keys", "rep-no-ranks", "table-n-mismatch", "table-n-string"])
+            "sigma-extra-keys", "rep-no-ranks", "table-n-mismatch", "table-n-string",
+            "poset-with-tables", "poset-after-a-table-field", "table-unknown-keys",
+            "poset-block-unknown-key"])
     def test_refusal_names_the_field(self, chain3_file, w3_file, tmp_path, capsys, kind, value,
                                      message):
         path = tmp_path / "input.json"
@@ -756,6 +767,33 @@ class TestInputErrors:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["lattice", "pref", "rep"])
+    def test_non_utf8_file_refused(self, chain3_file, w3_file, tmp_path, capsys, kind):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"labels": ["\u00ff"]}'.encode("latin-1"))
+        files = {"lattice": chain3_file, "pref": w3_file, "rep": w3_file, kind: str(path)}
+        args = ["verify"] + [f"--{k}={v}" for k, v in files.items()]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text: ")
+        assert "0xff" in captured.err
+
+    def test_byte_order_mark_refused(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(lattice_to_dict(CHAIN3)).encode())
+        assert main(["validate", "--lattice", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+        )
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_error_positions_count_every_newline(self, tmp_path, capsys, newline):
+        path = tmp_path / "broken.json"
+        path.write_bytes(newline.join(['{"n": 3,', '', '  "top": }']).encode())
+        assert main(["validate", "--lattice", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3:10: Expecting value\n"
 
     def test_missing_ranks_names_the_field(self, chain3_file, tmp_path, capsys):
         path = tmp_path / "pref.json"
@@ -785,20 +823,117 @@ class TestByteBudget:
         assert run(argv, capsys)[0] == 1  # w3 breaks axiom 3
         path.write_text(text.ljust(budget + 1))
 
-        load = io_module.json.load
+        decode = io_module._decode
 
-        def parse(fh):
-            if fh.name == str(path):
+        def parse(name, data):
+            if name == str(path):
                 pytest.fail("an over-budget file was parsed")
-            return load(fh)
+            return decode(name, data)
 
-        monkeypatch.setattr(io_module.json, "load", parse)
+        monkeypatch.setattr(io_module, "_decode", parse)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"error: {path}: {budget + 1} bytes, over the input budget of {budget}\n"
         )
+
+
+class TestLatticeMemo:
+    """io.load_lattice keeps the last lattice file it loaded, keyed on its
+    exact bytes: verbs on unchanged bytes share one parse and one law
+    certificate, and every answer is the one a first load gives."""
+
+    # The 3-chain with join(1, 2) = 1: lawless at witness (1, 2).
+    LAWLESS = {"bottom": 0, "top": 2, "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+               "join": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]}
+    LAW_ERROR = "error: join-commutativity violated at witness (1, 2)\n"
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Paths passed to the parse step, one entry per parse."""
+        seen = []
+        decode = io_module._decode
+
+        def parse(path, data):
+            seen.append(path)
+            return decode(path, data)
+
+        monkeypatch.setattr(io_module, "_decode", parse)
+        return seen
+
+    def test_seven_verbs_parse_and_certify_once(self, chain3_file, w3_file, tmp_path,
+                                                monkeypatch, capsys, parses):
+        certified = []
+        is_set_hom = lattice_module._is_set_hom
+
+        def check(L, P):
+            certified.append(L)
+            return is_set_hom(L, P)
+
+        monkeypatch.setattr(lattice_module, "_is_set_hom", check)
+        rep = str(tmp_path / "rep.json")
+        files = ["--lattice", chain3_file, "--pref", w3_file]
+        for argv in (["validate", "--lattice", chain3_file], ["spectrum", "--lattice", chain3_file],
+                     ["axioms", *files], ["dualize", *files], ["represent", *files, "--out", rep],
+                     ["verify", *files, "--rep", rep], ["factor", *files, "--rep", rep]):
+            assert main(argv) in (0, 1), argv
+        L = io_module._last_lattice[1]
+        assert parses.count(chain3_file) == 1
+        assert sum(K is L for K in certified) == 1
+        assert io_module.load_lattice(chain3_file) is L
+
+    def test_equal_bytes_at_another_path_share_the_lattice(self, chain3_file, tmp_path, parses):
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(pathlib.Path(chain3_file).read_bytes())
+        assert io_module.load_lattice(chain3_file) is io_module.load_lattice(str(copy))
+        assert parses == [chain3_file]
+
+    def test_rewrite_of_equal_length_and_mtime_is_read(self, tmp_path, capsys, parses):
+        b2, c4 = ({k: v for k, v in lattice_to_dict(L).items() if k != "labels"}
+                  for L in (B2, chain(4)))
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(b2))
+        stamp = os.stat(path)
+        assert len(run(["spectrum", "--lattice", str(path)], capsys)[1]["points"]) == 2
+        path.write_text(json.dumps(c4))
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert os.stat(path).st_size == stamp.st_size
+        assert len(run(["spectrum", "--lattice", str(path)], capsys)[1]["points"]) == 3
+        assert parses == [str(path)] * 2
+
+    def test_lawless_table_refused_on_every_load(self, w3_file, tmp_path, monkeypatch, capsys,
+                                                 parses):
+        """validate reads the table unvalidated and keeps it; every verb that
+        needs a lattice still refuses it, axioms (which certifies nothing of
+        its own) included."""
+        scans = []
+        scan = lattice_module._scan_laws
+        monkeypatch.setattr(lattice_module, "_scan_laws", lambda L: scans.append(L) or scan(L))
+        path = tmp_path / "lawless.json"
+        path.write_text(json.dumps({"n": 3, **self.LAWLESS}))
+        code, report = run(["validate", "--lattice", str(path)], capsys)
+        assert code == 1 and not report["valid"]
+        for argv in (["spectrum"], ["spectrum"], ["axioms", "--pref", w3_file]):
+            assert main([*argv, "--lattice", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == self.LAW_ERROR
+        assert parses == [str(path)] and len(scans) == 4
+
+    def test_law_check_before_size_check_on_every_load(self, tmp_path, capsys, parses):
+        """A table that breaks a law and misstates n: validate reads it
+        unvalidated and names n, spectrum names the law, and a failed load
+        is not kept."""
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"n": 7, **self.LAWLESS}))
+        for _ in range(2):
+            assert main(["validate", "--lattice", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "error: bad lattice tables: n: 7 is not the table size 3\n"
+            )
+            assert main(["spectrum", "--lattice", str(path)]) == 2
+            assert capsys.readouterr().err == self.LAW_ERROR
+        assert parses == [str(path)] * 4
 
 
 class TestIntegerRange:

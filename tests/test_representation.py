@@ -256,6 +256,12 @@ class TestQuotient:
                 compared += 1
         assert compared >= 100
 
+    def test_partition_of_the_wrong_length_refused(self):
+        with pytest.raises(ValueError, match=r"^classes: 2 entries for 3 elements$"):
+            congruence_from_classes(CHAIN3, [0, 1])
+        with pytest.raises(ValueError, match=r"^classes: 4 entries for 3 elements$"):
+            quotient(CHAIN3, Congruence((0, 0, 1, 1)))
+
     def test_kernel_of_projection_is_congruence(self):
         C = Congruence((0, 0, 1))
         Q, h = quotient(CHAIN3, C)
