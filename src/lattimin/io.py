@@ -167,6 +167,13 @@ def _unknown_key(d: dict, fields) -> str | None:
     return next((json.dumps(k) for k in d if k not in fields), None)
 
 
+def _refuse_unknown_key(d: dict, fields) -> None:
+    """ValueError naming the first key of d, in file order, that is not one
+    of fields."""
+    if key := _unknown_key(d, fields):
+        raise ValueError(f"key {key} is not a field ({', '.join(fields)})")
+
+
 def lattice_from_dict(d, validate=True) -> Lattice:
     """Build a lattice from its JSON dict.
 
@@ -184,8 +191,7 @@ def lattice_from_dict(d, validate=True) -> Lattice:
             raise FormatError(f'lattice file: key {key} is not a field of the poset form ("poset")')
         try:
             p = _object(d["poset"], "poset")
-            if key := _unknown_key(p, POSET_FIELDS):
-                raise ValueError(f"key {key} is not a field ({', '.join(POSET_FIELDS)})")
+            _refuse_unknown_key(p, POSET_FIELDS)
             P = Poset(_ints(p["n"], "n"), _ints(p["covers"], "covers", 2))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bad poset block: {_reason(e)}") from e
@@ -253,9 +259,12 @@ def load_lattice(path, validate=True) -> Lattice:
 
 
 def load_preference(path, L: Lattice) -> WeakOrder:
+    """The weak order in the preference file at path; a key other than
+    "ranks" is refused once the field is read."""
     d = load_json(path)
     try:
         ranks = _ints(d["ranks"], "ranks", 1)
+        _refuse_unknown_key(d, ("ranks",))
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad preference file: {_reason(e)}") from e
     if len(ranks) != L.n:
@@ -274,11 +283,15 @@ def representation_to_dict(R: Representation) -> dict:
 
 
 def load_representation(path, L: Lattice) -> Representation:
+    """The representation in the file at path; a key other than its three
+    fields is refused once they are read, and more than MAX_ELEMENTS
+    outcomes, by Representation, with TooLarge."""
     d = load_json(path)
     try:
         count = _ints(d["outcomes"], "outcomes")
         sets = _ints(_sigma_rows(_object(d["sigma"], "sigma"), L.n), "sigma", 2)
         ranks = _ints(d["outcome_ranks"], "outcome_ranks", 1)
+        _refuse_unknown_key(d, ("outcomes", "sigma", "outcome_ranks"))
         return Representation(count, sets, ranks)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad representation file: {_reason(e)}") from e

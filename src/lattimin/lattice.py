@@ -171,7 +171,7 @@ class Lattice:
         joined[J[(J != idx[:, None]) & (J != idx[None, :])]] = True
         S = np.flatnonzero(~joined & (idx != self.bottom))
         P = np.ascontiguousarray(np.packbits(M[S] == S[:, None], axis=0).T)
-        if len({row.tobytes() for row in P}) < n:
+        if len(row_classes(P)[1]) < n:
             return None
         if not _is_set_hom(self, P):
             return None
@@ -366,10 +366,17 @@ def class_ids(keys) -> tuple[int, ...]:
     return tuple(ids.setdefault(key, len(ids)) for key in keys)
 
 
-def row_class_ids(rows: np.ndarray) -> tuple[int, ...]:
-    """class_ids of the rows of a boolean matrix, each keyed by its packed
-    bits: equal rows, equal ids."""
-    return class_ids(row.tobytes() for row in np.packbits(rows, axis=1))
+def row_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of equal rows: ids[i] numbers row i's class by first
+    appearance, and first[c] is the first row of class c, ascending.  One
+    dict numbers them, keyed by packed bits for a boolean matrix and by
+    bytes otherwise; at small sizes that beats a numpy sort."""
+    if M.dtype == bool:
+        M = np.packbits(M, axis=1)
+    seen: dict = {}
+    rep = [seen.setdefault(row.tobytes(), i) for i, row in enumerate(M)]
+    first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    return np.searchsorted(first, rep), first
 
 
 def membership(sets, size: int) -> np.ndarray:

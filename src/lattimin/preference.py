@@ -7,14 +7,13 @@ transitivity hold by construction of the encoding.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import AxiomsNotSatisfied, NotAnIdeal, TooLarge
-from .lattice import Lattice, _row_blocks, row_class_ids
+from .lattice import Lattice, _row_blocks, row_classes
 from .spectrum import ideal_witness
 
 
@@ -49,19 +48,17 @@ def dense_ranks(values) -> tuple[int, ...]:
 
 
 def first_disagreement(r, s, items) -> Optional[tuple[int, int]]:
-    """First pair (a, b) of items, in order, where r and s disagree on a <= b.
-
-    r and s agree on every pair iff they rank the items alike, that is iff
-    their dense ranks over the items are equal; only when they differ does
-    the pair loop run, to find the witness."""
+    """First pair (a, b) of items, in order, where r and s disagree on a <= b:
+    the first entry, in row-major order, where the items-by-items planes
+    [r(a) <= r(b)] and [s(a) <= s(b)] differ."""
     items = list(items)
-    if dense_ranks(r[a] for a in items) == dense_ranks(s[a] for a in items):
+    u = np.array([r[a] for a in items])
+    v = np.array([s[a] for a in items])
+    bad = (u[:, None] <= u) != (v[:, None] <= v)
+    if not bad.any():
         return None
-    for a in items:
-        for b in items:
-            if (r[a] <= r[b]) != (s[a] <= s[b]):
-                return a, b
-    return None
+    a, b = divmod(int(bad.argmax()), len(items))
+    return items[a], items[b]
 
 
 def _worst_ranks(M, ranks) -> list[int]:
@@ -176,25 +173,15 @@ def check_axiom2(L: Lattice, W: WeakOrder, domain=None) -> list:
     return out
 
 
-def _equal_pairs(keys) -> int:
-    """How many pairs of positions hold equal keys."""
-    return sum(c * (c - 1) // 2 for c in Counter(keys).values())
-
-
 def check_axiom3(L: Lattice, W: WeakOrder) -> list:
     """Violating pairs (a, a') with identical trivializer sets but a !~ a',
     in lexicographic order.  Row a of [r(a & b) == r(bottom)] is the
-    trivializer set of a, so equal rows mean equal sets.  They number, per
-    key, C(size, 2) less C(count, 2) per rank; TooLarge, before any pair is
-    listed, if that is more than MAX_LISTED_VIOLATIONS."""
+    trivializer set of a, so equal rows mean equal sets.  TooLarge, before
+    any pair is listed, if there are more than MAX_LISTED_VIOLATIONS."""
     r = np.asarray(W.ranks)
-    key = row_class_ids((r == r[L.bottom])[L.meet])
-    total = _equal_pairs(key) - _equal_pairs(zip(key, W.ranks))
-    if not total:
-        return []
-    _refuse_over_cap(3, total, "pairs")
-    k = np.asarray(key)
+    k, _ = row_classes((r == r[L.bottom])[L.meet])
     bad = np.triu((k[:, None] == k) & (r[:, None] != r), 1)
+    _refuse_over_cap(3, int(bad.sum()), "pairs")
     return [(int(a), int(a2)) for a, a2 in np.argwhere(bad)]
 
 

@@ -21,8 +21,10 @@ from .errors import (
     IncompatiblePartition,
     NotAnIdeal,
     NotARepresentation,
+    TooLarge,
 )
 from .lattice import (
+    MAX_ELEMENTS,
     Lattice,
     LatticeHom,
     _certify,
@@ -30,7 +32,7 @@ from .lattice import (
     build_lattice,
     class_ids,
     membership,
-    row_class_ids,
+    row_classes,
     row_lists,
     row_sets,
     size_mask_order,
@@ -127,7 +129,7 @@ def congruence_beta_dprime(L: Lattice, I) -> Congruence:
     in_ideal = np.zeros(L.n, dtype=bool)
     in_ideal[list(Iset)] = True
     # row a of in_ideal[meet] is {c : a & c in I}
-    C = congruence_from_classes(L, row_class_ids(in_ideal[L.meet]))
+    C = congruence_from_classes(L, row_classes(in_ideal[L.meet])[0])
     if C.members(C.cls(L.bottom)) != Iset:
         raise NotAnIdeal("bottom class does not equal the ideal")
     return C
@@ -140,11 +142,6 @@ def _class_tables(L: Lattice, cls: np.ndarray, reps) -> tuple:
     return cls[L.meet[ix]], cls[L.join[ix]]
 
 
-def _class_lattice(L: Lattice, cls: np.ndarray, reps, labels=None) -> Lattice:
-    """L/θ for a congruence θ: its element c is class c."""
-    return build_lattice(*_class_tables(L, cls, reps), cls[L.bottom], cls[L.top], labels)
-
-
 def quotient(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
     """Quotient lattice over class representatives plus the projection hom."""
     C = congruence_from_classes(L, C.classes)
@@ -153,7 +150,8 @@ def quotient(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
         "|".join(L.labels[a] for a in members)
         for members in row_lists(cls == np.arange(C.num_classes)[:, None])
     )
-    Q = _class_lattice(L, cls, C.representatives, labels)
+    Q = build_lattice(*_class_tables(L, cls, C.representatives), cls[L.bottom], cls[L.top],
+                      labels)
     return Q, LatticeHom(L, Q, C.classes)
 
 
@@ -164,13 +162,19 @@ class Representation:
     of element a, and a rank per outcome.  sigma may be given as such a
     matrix (dtype bool) or as one iterable of outcomes per element, which
     an integer array also is; sigma_map is its frozenset view.  Equality
-    compares values."""
+    compares values.  TooLarge, before sigma is read, if there are more than
+    MAX_ELEMENTS outcomes, which bounds the X-by-X planes of
+    derive_pref_from_rep's literal check."""
 
     outcome_count: int
     sigma: np.ndarray
     outcome_ranks: tuple[int, ...]
 
     def __post_init__(self):
+        if self.outcome_count > MAX_ELEMENTS:
+            raise TooLarge(
+                f"representations capped at {MAX_ELEMENTS} outcomes, got {self.outcome_count}"
+            )
         object.__setattr__(self, "outcome_ranks", tuple(int(r) for r in self.outcome_ranks))
         if len(self.outcome_ranks) != self.outcome_count:
             raise ValueError("outcome_ranks length must equal outcome_count")
@@ -235,8 +239,7 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     b = L.join[:, J]  # b[a, i] = a | J[i], which covers a iff h[b] == h[a] + 1
     keep = ((h[b] == h[:, None] + 1) & (r[b] != r[:, None])).any(0)
     P = up[keep]  # column a: {j in J* : j <= a}, the θ*-class of a
-    cls = np.asarray(row_class_ids(P.T))
-    reps = np.unique(cls, return_index=True)[1]
+    cls, reps = row_classes(P.T)
     S = SpectralSpace(P[:, reps])
     fwd = dual_forward(L, S, WeakOrder(r[reps]))
     return Representation(S.member.shape[0], S.member.T[cls], fwd.ranks)
@@ -266,19 +269,21 @@ def factor_check(
     # split is symmetric with a false diagonal, so its first true entry in
     # row-major order is the first pair a < b with equal R_other images but
     # unequal R_min ones
-    other = np.asarray(row_class_ids(R_other.sigma))
-    least = np.asarray(row_class_ids(R_min.sigma))
+    kernels = [row_classes(R.sigma) for R in (R_other, R_min)]
+    (other, _), (least, _) = kernels
     split = (other[:, None] == other) & (least[:, None] != least)
     if split.any():
         return Refutation(divmod(int(split.argmax()), L.n))
     images = []
-    for sigma, ids in ((R_other.sigma, other), (R_min.sigma, least)):
+    for R, (ids, first) in zip((R_other, R_min), kernels):
         # the image lattice L/ker sigma, its elements the distinct rows in
-        # (size, mask) order
-        _, first = np.unique(ids, return_index=True)  # one element per row
-        order = size_mask_order(sigma[first])
+        # (size, mask) order; as sigma is a hom, it is a sublattice of the
+        # powerset of X bounded by the empty set and X, so it is lawful and
+        # not certified again
+        order = size_mask_order(R.sigma[first])
         cls = np.argsort(order)[ids]
-        images.append((_class_lattice(L, cls, first[order]), cls))
+        image = Lattice(*_class_tables(L, cls, first[order]), cls[L.bottom], cls[L.top])
+        images.append((image, cls))
     (src, src_cls), (dst, dst_cls) = images
     mapping = np.zeros(src.n, dtype=np.intp)
     mapping[src_cls] = dst_cls

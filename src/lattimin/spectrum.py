@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Lattice, _is_set_hom, row_sets, size_mask_order
+from .lattice import Lattice, _is_set_hom, row_classes, row_sets, size_mask_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,8 @@ class SpectralSpace:
     def basis(self) -> tuple:
         """Distinct sigma-images, the base of the finite spectral topology,
         in (size, mask) order."""
-        rows = np.unique(self.member.T, axis=0)
+        sigma = self.member.T
+        rows = sigma[row_classes(sigma)[1]]
         return row_sets(rows[size_mask_order(rows)])
 
 
@@ -66,7 +67,7 @@ def check_sigma_isomorphism(L: Lattice, S: SpectralSpace) -> bool:
     """True iff sigma is injective on L and a bounded hom into the powerset
     of the points."""
     sigma = S.member.T
-    return len({row.tobytes() for row in sigma}) == L.n and is_powerset_hom(L, sigma)
+    return len(row_classes(sigma)[1]) == L.n and is_powerset_hom(L, sigma)
 
 
 def ideal_witness(L: Lattice, I):

@@ -750,17 +750,31 @@ class TestInputErrors:
          ' (n, meet, join, bottom, top, labels)'),
         ("lattice", {"poset": {"n": 2, "cover": [], "covers": []}},
          'bad poset block: key "cover" is not a field (n, covers)'),
+        ("pref", {"ranks": [0, 1, 2], "rank": [9]},
+         'bad preference file: key "rank" is not a field (ranks)'),
+        ("rep", {"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]},
+                 "outcome_ranks": [1, 0], "extra": 1},
+         'bad representation file: key "extra" is not a field'
+         ' (outcomes, sigma, outcome_ranks)'),
+        ("rep", {"comment": "x", "outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]},
+                 "outcome_ranks": [1, 0], "extra": 1},
+         'bad representation file: key "comment" is not a field'
+         ' (outcomes, sigma, outcome_ranks)'),
     ], ids=["poset-list", "poset-negative-n", "ragged-meet", "ragged-join", "sigma-list",
             "sigma-string", "cover-triple", "cover-single", "poset-no-covers", "sigma-no-entry",
             "sigma-extra-keys", "rep-no-ranks", "table-n-mismatch", "table-n-string",
             "poset-with-tables", "poset-after-a-table-field", "table-unknown-keys",
-            "poset-block-unknown-key"])
+            "poset-block-unknown-key", "pref-unknown-key", "rep-unknown-key",
+            "rep-unknown-keys-first-named"])
     def test_refusal_names_the_field(self, chain3_file, w3_file, tmp_path, capsys, kind, value,
                                      message):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(value))
         if kind == "lattice":
             args = ["validate", "--lattice", str(path)]
+        elif kind == "pref":
+            args = ["axioms", "--lattice", chain3_file, "--pref", str(path)]
+            message = f"{path}: {message}"
         else:
             args = ["verify", "--lattice", chain3_file, "--pref", w3_file, "--rep", str(path)]
             message = f"{path}: {message}"
@@ -800,6 +814,94 @@ class TestInputErrors:
         path.write_text(json.dumps({"rank": [0, 1, 2]}))
         assert main(["axioms", "--lattice", chain3_file, "--pref", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: bad preference file: missing field 'ranks'\n"
+
+
+class TestRepresentationCap:
+    """A representation file with more than lattice.MAX_ELEMENTS outcomes is
+    refused with exit 2 before its X-by-X planes are allocated."""
+
+    def test_refused_within_the_rung_budget(self, tmp_path):
+        # 60,000 outcomes on B2, a 1 MB file: its literal cross-check would
+        # need 3.35 GiB planes.  The child runs under the 256 MiB
+        # address-space cap of a ladder rung, so a regression ends in
+        # MemoryError rather than exhausting the machine.
+        count = 60_000
+        files = {"lattice": {"poset": {"n": 2, "covers": []}}, "pref": {"ranks": [0, 1, 1, 2]},
+                 "rep": {"outcomes": count,
+                         "sigma": {"0": [], "1": [0], "2": [1], "3": list(range(count))},
+                         "outcome_ranks": [1] * count}}
+        args = ["verify"]
+        for key, doc in files.items():
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            args += [f"--{key}", str(path)]
+        child = (
+            "import sys\n"
+            "from lattimin.cli import main\n"
+            "try:\n"
+            "    print(main(sys.argv[1:]))\n"
+            "except MemoryError:\n"
+            "    print('MemoryError')\n"
+        )
+        cap = 256 << 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(pathlib.Path(lattimin.__file__).parents[1]))
+        env.pop("LM_LOG", None)
+        done = subprocess.run(
+            [sys.executable, "-c", child, *args], env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout == "2\n", done.stderr
+        assert done.stderr == (
+            f"error: representations capped at {lattice_module.MAX_ELEMENTS} outcomes, "
+            f"got {count}\n"
+        )
+
+
+class TestDegenerateShapes:
+    """The one-element lattice (the poset with no points) and a constant
+    order, where sigma has no outcomes at all."""
+
+    @staticmethod
+    def write(tmp_path, **docs):
+        paths = {}
+        for key, doc in docs.items():
+            paths[key] = str(tmp_path / f"{key}.json")
+            pathlib.Path(paths[key]).write_text(json.dumps(doc))
+        return paths
+
+    def test_one_element_lattice_through_every_verb(self, tmp_path, capsys):
+        f = self.write(tmp_path, lattice={"poset": {"n": 0, "covers": []}}, pref={"ranks": [0]})
+        lat, pref = ["--lattice", f["lattice"]], ["--pref", f["pref"]]
+        assert run(["validate", *lat], capsys) == (0, {"valid": True, "violations": []})
+        assert run(["spectrum", *lat], capsys) == (0, {"points": [], "sigma": {"0": []}})
+        code, report = run(["axioms", *lat, *pref], capsys)
+        assert code == 0 and report["satisfied"]
+        code, report = run(["dualize", *lat, *pref], capsys)
+        assert code == 0 and report["forward_ranks"] == []
+        rep = str(tmp_path / "rep.json")
+        assert run(["represent", *lat, *pref, "--out", rep], capsys) == (0, None)
+        assert json.loads(pathlib.Path(rep).read_text()) == {
+            "outcome_ranks": [], "outcomes": 0, "sigma": {"0": []}}
+        assert run(["verify", *lat, *pref, "--rep", rep], capsys) == (
+            0, {"counterexample": None, "verified": True})
+        assert run(["factor", *lat, *pref, "--rep", rep], capsys) == (
+            0, {"factored": True, "hom": [0], "surjective": True, "valid_hom": True})
+
+    def test_constant_order_on_b2(self, tmp_path, capsys):
+        f = self.write(tmp_path, lattice={"poset": {"n": 2, "covers": []}},
+                       pref={"ranks": [0, 0, 0, 0]})
+        args = ["--lattice", f["lattice"], "--pref", f["pref"]]
+        rep = str(tmp_path / "rep.json")
+        assert run(["represent", *args, "--out", rep], capsys) == (0, None)
+        assert json.loads(pathlib.Path(rep).read_text()) == {
+            "outcome_ranks": [], "outcomes": 0,
+            "sigma": {"0": [], "1": [], "2": [], "3": []}}
+        assert run(["verify", *args, "--rep", rep], capsys) == (
+            0, {"counterexample": None, "verified": True})
+        assert run(["factor", *args, "--rep", rep], capsys) == (
+            0, {"factored": True, "hom": [0], "surjective": True, "valid_hom": True})
 
 
 class TestByteBudget:

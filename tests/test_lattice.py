@@ -25,6 +25,8 @@ from lattimin.lattice import (
     BLOCK_ELEMENTS,
     Lattice,
     _scan_laws,
+    class_ids,
+    row_classes,
     size_mask_order,
 )
 from lattimin.testkit import random_distributive_lattice, random_poset
@@ -365,6 +367,25 @@ class TestSizeMaskOrder:
         for P in [random_poset(rng.randint(1, 6), rng) for _ in range(40)]:
             masks = P.downset_masks()
             assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
+
+
+class TestRowClasses:
+    """row_classes numbers equal rows by first appearance and gives the
+    first row of each class, ascending, on every shape, empty ones too."""
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (5, 0), (1, 6), (40, 1), (60, 4),
+                                       (200, 9), (30, 70)])
+    def test_matches_class_ids_and_unique(self, shape):
+        rng = np.random.default_rng(shape[0] * 103 + shape[1])
+        for density in (0.1, 0.5, 0.9):
+            M = rng.random(shape) < density
+            for rows in (M, np.packbits(M, axis=1), M.T.copy().T):
+                ids, first = row_classes(rows)
+                assert ids.tolist() == list(class_ids(row.tobytes() for row in M))
+                assert first.tolist() == np.unique(ids, return_index=True)[1].tolist()
+                if shape[0]:  # np.unique refuses an axis of length 0
+                    distinct = np.unique(M, axis=0, return_index=True)[1]
+                    assert first.tolist() == sorted(distinct.tolist())
 
 
 class TestLatticeFromOrder:

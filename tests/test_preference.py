@@ -409,3 +409,19 @@ class TestFirstDisagreement:
                 assert preference.first_disagreement(r, s_arg, items) == expected
                 assert preference.first_disagreement(r, s_arg, iter(items)) == expected
         assert found == {True, False}
+
+    def test_late_disagreement_at_1024_items(self):
+        """The only disagreeing pair is (b, a), the last two items of a
+        shuffled order, second to last of the m * m pairs."""
+        rng = random.Random(6)
+        r = [rng.randint(0, 100) for _ in range(1024)]
+        items = list(range(1024))
+        rng.shuffle(items)
+        a, b = items[-2:]
+        r[a], r[b] = 200, 201  # the two worst, a strictly better than b
+        s = list(r)
+        s[a] = s[b]  # now b <= a too
+        expected = self.by_loop(r, s, items)
+        assert expected == (b, a)
+        assert preference.first_disagreement(r, s, items) == expected
+        assert preference.first_disagreement(r, r, items) is None

@@ -15,6 +15,7 @@ from lattimin import (
     NotARepresentation,
     Refutation,
     Representation,
+    TooLarge,
     WeakOrder,
     check_axiom1,
     check_axiom2,
@@ -26,11 +27,12 @@ from lattimin import (
     factor_check,
     minimal_representation,
     quotient,
+    validate_laws,
     verify_representation,
 )
 from lattimin import lattice as lattice_module, representation as representation_module
 from lattimin.duality import dual_forward
-from lattimin.lattice import Poset, build_lattice, class_ids, downset_lattice
+from lattimin.lattice import MAX_ELEMENTS, Poset, build_lattice, class_ids, downset_lattice
 from lattimin.preference import zero_class
 from lattimin.spectrum import enumerate_prime_filters
 from lattimin.representation import check_representation_hom, congruence_from_classes
@@ -433,6 +435,16 @@ class TestRepresentationForm:
         assert R != Representation(3, ((), (1,), (0, 1)), (1, 0, 0))
         assert R != "R"
 
+    def test_outcome_cap(self):
+        """More than MAX_ELEMENTS outcomes are refused before sigma is read,
+        as a set list or as a matrix; the cap itself is accepted."""
+        R = Representation(MAX_ELEMENTS, ((), range(MAX_ELEMENTS)), (0,) * MAX_ELEMENTS)
+        assert R.sigma.shape == (2, MAX_ELEMENTS)
+        over = MAX_ELEMENTS + 1
+        for sigma in (((), range(over)), np.ones((2, over), dtype=bool)):
+            with pytest.raises(TooLarge, match=f"capped at {MAX_ELEMENTS} outcomes, got {over}"):
+                Representation(over, sigma, (0,) * over)
+
 
 class TestVerifyRepresentation:
     def test_minimal_rep_verifies(self):
@@ -510,6 +522,27 @@ class TestFactorCheck:
         for pair in ((R_rev, R_min), (R_min, R_rev)):
             with pytest.raises(NotARepresentation, match="does not reproduce W"):
                 factor_check(CHAIN3, W3, *pair)
+
+    def test_image_lattices_are_neither_built_nor_certified(self, monkeypatch):
+        """Each image lattice is read off L's tables once sigma is shown a
+        hom; no build_lattice runs and no law certificate is computed on it,
+        yet each is lawful and the factoring map a hom."""
+
+        def refuse(*args, **kwargs):
+            pytest.fail("an image lattice was built")
+
+        monkeypatch.setattr(representation_module, "build_lattice", refuse)
+        for seed in range(30):
+            L = random_distributive_lattice(5, seed)
+            W = derived_weak_order(L, seed)
+            R_min = minimal_representation(L, W)
+            hom = factor_check(L, W, duplicate_outcome(R_min, 0) if R_min.outcome_count
+                               else R_min, R_min)
+            assert isinstance(hom, LatticeHom), seed
+            for image in (hom.source, hom.target):
+                assert "birkhoff" not in vars(image), seed
+                assert validate_laws(image) == [], seed
+            assert check_hom(hom), seed
 
     def test_refutation_witness_matches_loop_oracle(self):
         """Both argument orders of a random representation and the minimal

@@ -137,6 +137,33 @@ class TestShippedCode:
         for path in self.PACKAGE.glob("*.py"):
             assert not moved & self.defined(path), path.name
 
+    def uses(self, attr):
+        """(module, innermost enclosing function) of every attribute attr
+        read under the package; the function is None at module level."""
+        found = set()
+
+        def visit(node, path, fn):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Attribute) and child.attr == attr:
+                    found.add((path.name, fn))
+                visit(child, path, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+        for path in self.PACKAGE.glob("*.py"):
+            visit(ast.parse(path.read_text()), path, None)
+        return found
+
+    def test_one_row_class_step(self):
+        """Classes of equal rows come from lattice.row_classes alone: rows are
+        keyed by their bytes only there, np.unique runs only on 1-d class
+        ids, and the step's predecessors are gone."""
+        gone = {"row_class_ids", "_equal_pairs", "_class_lattice"}
+        for path in self.PACKAGE.glob("*.py"):
+            assert not gone & self.defined(path), path.name
+            assert "Counter" not in path.read_text(), path.name
+        assert self.uses("tobytes") == {("lattice.py", "row_classes")}
+        assert self.uses("unique") == {("representation.py", "representatives"),
+                                       ("representation.py", "congruence_from_classes")}
+
     def test_package_imports_nothing_from_tests(self):
         local = {"tests"} | {path.stem for path in self.TESTS.glob("*.py")}
         for path in self.PACKAGE.glob("*.py"):
