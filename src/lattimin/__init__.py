@@ -5,13 +5,9 @@ and minimal representation synthesis."""
 __version__ = "0.1.0"
 
 from .errors import (
-    AxiomsNotSatisfied,
     AxiomViolation,
-    IncompatiblePartition,
     LattiminError,
     LawViolation,
-    NotALattice,
-    NotAnIdeal,
     NotARepresentation,
     PosetCyclic,
     TooLarge,
@@ -23,14 +19,10 @@ from .lattice import (
     build_lattice,
     check_hom,
     downset_lattice,
-    is_boolean,
-    relative_complement,
-    relative_complements,
     validate_laws,
 )
 from .spectrum import (
     SpectralSpace,
-    check_sigma_isomorphism,
     enumerate_prime_filters,
     finite_topology_report,
 )
@@ -39,26 +31,19 @@ from .preference import (
     check_axiom1,
     check_axiom2,
     check_axiom3,
-    strict_upper_contour,
-    zero_class,
 )
 from .duality import (
     DualityCertificate,
     dual_backward,
     dual_forward,
-    filter_witness,
     roundtrip_check,
     duality_equivalence_report,
 )
 from .representation import (
-    Congruence,
     Refutation,
     Representation,
-    congruence_beta_dprime,
-    congruence_beta_prime,
     derive_pref_from_rep,
     factor_check,
     minimal_representation,
-    quotient,
     verify_representation,
 )

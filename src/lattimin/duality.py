@@ -74,19 +74,6 @@ def roundtrip_check(L: Lattice, W: WeakOrder) -> DualityCertificate:
     )
 
 
-def filter_witness(
-    L: Lattice, S: SpectralSpace, W: WeakOrder, a: int, b: int
-) -> Optional[frozenset]:
-    """A prime filter G containing b with a >= b' for every b' in G, or None.
-
-    First witness in canonical point order, for golden-file stability.
-    """
-    for i, G in enumerate(S.points):
-        if b in G and all(W.ranks[a] <= W.ranks[bp] for bp in G):
-            return G
-    return None
-
-
 @dataclass(frozen=True)
 class DualityEquivalenceReport:
     axioms_hold: bool
@@ -101,8 +88,8 @@ class DualityEquivalenceReport:
 def duality_equivalence_report(L: Lattice, W: WeakOrder) -> DualityEquivalenceReport:
     """Evaluate the three equivalent duality conditions: axioms, roundtrip, witnesses.
 
-    The witness condition is ``filter_witness`` for every pair at once: some
-    point G containing b has rank[a] <= the best rank in G.
+    The witness condition holds at (a, b) iff some point G containing b has
+    rank[a] <= the best rank in G; it is evaluated for every pair at once.
     """
     nz = nonzero_elements(L)
     ax = axioms12_hold(L, W, domain=nz)
@@ -110,6 +97,6 @@ def duality_equivalence_report(L: Lattice, W: WeakOrder) -> DualityEquivalenceRe
     r = np.asarray(W.ranks)
     P = cert.spectrum.member
     best = np.where(P, r, r.max()).min(1)  # points are non-empty
-    witness = (r[:, None] <= best[None, :]) @ P  # witness[a, b]: filter_witness found
+    witness = (r[:, None] <= best[None, :]) @ P  # witness[a, b]: how many G witness (a, b)
     wit = bool((witness == (r[:, None] <= r[None, :]))[np.ix_(nz, nz)].all())
     return DualityEquivalenceReport(ax, cert.agreement, wit)

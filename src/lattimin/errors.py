@@ -15,29 +15,8 @@ class LawViolation(LattiminError):
         super().__init__(f"{law} violated at witness {self.witness}")
 
 
-class NotALattice(LattiminError):
-    """An order relation lacks a greatest lower / least upper bound somewhere."""
-
-
 class PosetCyclic(LattiminError):
     """Cover relation contains a cycle (or a self-cover)."""
-
-
-class NotAnIdeal(LattiminError):
-    """A subset expected to be an ideal is not; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
-
-class IncompatiblePartition(LattiminError):
-    """A partition is not compatible with meet/join; carries a witness quadruple."""
-
-    def __init__(self, op, witness):
-        self.op = op
-        self.witness = tuple(witness)
-        super().__init__(f"partition incompatible with {op} at {self.witness}")
 
 
 class AxiomViolation(LattiminError):
@@ -47,10 +26,6 @@ class AxiomViolation(LattiminError):
         self.violations = violations
         parts = ", ".join(f"{k}: {len(v)}" for k, v in violations.items() if v)
         super().__init__(f"axiom violations ({parts})")
-
-
-class AxiomsNotSatisfied(LattiminError):
-    """Caller asserted Axioms 1-2 but a scan refuted them."""
 
 
 class NotARepresentation(LattiminError):

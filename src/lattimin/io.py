@@ -35,19 +35,35 @@ def _read(path) -> bytes:
         raise FormatError(f"{path}: {e.strerror}") from e
 
 
+def _unrepeated(pairs: list) -> dict:
+    """The JSON object with these (key, value) pairs; ValueError naming the
+    first key that an earlier pair already has."""
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"key {json.dumps(key)} is repeated")
+    return d
+
+
 def _decode(path, data: bytes) -> dict:
     """The JSON object in data, the bytes of the file at path, read as strict
     UTF-8 (a byte order mark is refused); FormatError if it is not UTF-8 text,
-    not JSON, or not an object."""
+    not JSON, not an object, nested too deeply to parse, or holds an integer
+    over CPython's digit limit or an object with a repeated key."""
     try:
         text = data.decode()
         if "\r" in text:  # universal newlines, so error positions count lines as text reads do
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        d = json.loads(text)
+        d = json.loads(text, object_pairs_hook=_unrepeated)
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise FormatError(f"{path}: nested too deeply: {e}") from e
+    except ValueError as e:  # raised by int() or _unrepeated
+        raise FormatError(f"{path}: {e}") from e
     if not isinstance(d, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
     return d
@@ -285,7 +301,7 @@ def representation_to_dict(R: Representation) -> dict:
 def load_representation(path, L: Lattice) -> Representation:
     """The representation in the file at path; a key other than its three
     fields is refused once they are read, and more than MAX_ELEMENTS
-    outcomes, by Representation, with TooLarge."""
+    outcomes, by Representation, with TooLarge naming the path."""
     d = load_json(path)
     try:
         count = _ints(d["outcomes"], "outcomes")
@@ -295,6 +311,8 @@ def load_representation(path, L: Lattice) -> Representation:
         return Representation(count, sets, ranks)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad representation file: {_reason(e)}") from e
+    except TooLarge as e:
+        raise TooLarge(f"{path}: {e}") from e
 
 
 def spectrum_to_dict(S: SpectralSpace) -> dict:

@@ -9,11 +9,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import LawViolation, NotALattice, PosetCyclic, TooLarge
+from .errors import LawViolation, PosetCyclic, TooLarge
 
 # Entries per block of the O(n^3) table scans: every n up to 101 is one block.
 BLOCK_ELEMENTS = 1 << 20
@@ -300,34 +300,6 @@ def downset_lattice(P: Poset) -> Lattice:
     return build_lattice(meet, join, 0, k - 1, labels)
 
 
-def relative_complements(L: Lattice, a: int, a_prime: int) -> tuple[int, ...]:
-    """All c with a | c == a | a' and a & c == bottom, ascending by index."""
-    hits = (L.join[a] == L.join[a, a_prime]) & (L.meet[a] == L.bottom)
-    return tuple(int(c) for c in np.flatnonzero(hits))
-
-
-def relative_complement(L: Lattice, a: int, a_prime: int) -> Optional[int]:
-    """The <=-least relative complement of a with respect to a', or None.
-
-    The witness set is meet-closed in a distributive lattice, so the fold-meet
-    of all witnesses is itself the least witness.
-    """
-    cands = relative_complements(L, a, a_prime)
-    if not cands:
-        return None
-    least = cands[0]
-    for c in cands[1:]:
-        least = int(L.meet[least, c])
-    if least not in cands:  # only reachable on non-distributive input
-        raise NotALattice("relative complements are not meet-closed")
-    return least
-
-
-def is_boolean(L: Lattice) -> bool:
-    """True iff every element has a (global) complement."""
-    return bool(((L.meet == L.bottom) & (L.join == L.top)).any(1).all())
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeHom:
     """A map between lattices, candidate for being a bounded-lattice hom."""
@@ -344,9 +316,6 @@ class LatticeHom:
         if any(not 0 <= x < self.target.n for x in mapping):
             raise ValueError("mapping image out of range")
 
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
-
 
 def check_hom(h: LatticeHom) -> bool:
     """True iff h preserves bottom, top, and all meets and joins."""
@@ -357,13 +326,6 @@ def check_hom(h: LatticeHom) -> bool:
     if not np.array_equal(t.meet[m[:, None], m[None, :]], m[s.meet]):
         return False
     return bool(np.array_equal(t.join[m[:, None], m[None, :]], m[s.join]))
-
-
-def class_ids(keys) -> tuple[int, ...]:
-    """Class id per key, numbered in order of first appearance; the kernel of
-    a hom h is class_ids(h.mapping)."""
-    ids: dict = {}
-    return tuple(ids.setdefault(key, len(ids)) for key in keys)
 
 
 def row_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,9 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AxiomsNotSatisfied, NotAnIdeal, TooLarge
+from .errors import TooLarge
 from .lattice import Lattice, _row_blocks, row_classes
-from .spectrum import ideal_witness
 
 
 @dataclass(frozen=True)
@@ -191,42 +190,3 @@ def axioms12_hold(L: Lattice, W: WeakOrder, domain=None) -> bool:
     an iterator."""
     r, dom = np.asarray(W.ranks), _domain_mask(L, domain)
     return not (_axiom1_pairs(L, r, dom).any() or _axiom2_rows(L, r, dom).any())
-
-
-@dataclass(frozen=True)
-class ContourReport:
-    members: frozenset
-    is_ideal: bool
-    proper: bool
-
-
-def strict_upper_contour(
-    L: Lattice, W: WeakOrder, a: int, assert_axioms: bool = False
-) -> ContourReport:
-    """{c : c > a} together with bottom, flagged for proper-ideal-hood."""
-    if assert_axioms and not axioms12_hold(L, W):
-        raise AxiomsNotSatisfied("Axioms 1-2 asserted but refuted by scan")
-    members = frozenset(
-        c for c in range(L.n) if W.strictly_prefers(c, a)
-    ) | {L.bottom}
-    return ContourReport(members, ideal_witness(L, members) is None, len(members) < L.n)
-
-
-@dataclass(frozen=True)
-class ZeroClassReport:
-    members: frozenset
-    maximum: int
-    proper: bool
-
-
-def zero_class(L: Lattice, W: WeakOrder) -> ZeroClassReport:
-    """The ideal I = {a : a ~ bottom}; NotAnIdeal with a witness if the
-    axioms fail and I is not actually an ideal."""
-    members = frozenset(a for a in range(L.n) if W.indifferent(a, L.bottom))
-    witness = ideal_witness(L, members)
-    if witness:
-        raise NotAnIdeal("indifference-to-bottom class is not an ideal", witness)
-    maximum = L.bottom
-    for a in members:
-        maximum = int(L.join[maximum, a])
-    return ZeroClassReport(members, maximum, len(members) < L.n)

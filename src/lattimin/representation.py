@@ -1,10 +1,11 @@
-"""Congruences, quotients, and the minimal maximin representation.
+"""Maximin representations: the minimal one, verification, and factoring.
 
 Synthesis takes θ*, the coarsest congruence on whose classes W is constant,
 read off J(L), so every representation factors through its result.  Its
 states are the prime filters of L/θ*, read off L's own spectrum, so it
 builds no quotient lattice.  Where Axiom 3 holds, θ* is the paper's
-trivializer congruence.
+trivializer congruence β″.  factor_check reads its image lattices L/ker σ
+off L's own tables.
 """
 
 from __future__ import annotations
@@ -16,24 +17,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .duality import dual_forward
-from .errors import (
-    AxiomViolation,
-    IncompatiblePartition,
-    NotAnIdeal,
-    NotARepresentation,
-    TooLarge,
-)
+from .errors import AxiomViolation, NotARepresentation, TooLarge
 from .lattice import (
     MAX_ELEMENTS,
     Lattice,
     LatticeHom,
     _certify,
-    _row_blocks,
-    build_lattice,
-    class_ids,
     membership,
     row_classes,
-    row_lists,
     row_sets,
     size_mask_order,
 )
@@ -45,94 +36,7 @@ from .preference import (
     dense_ranks,
     first_disagreement,
 )
-from .spectrum import SpectralSpace, ideal_witness, is_powerset_hom
-
-
-@dataclass(frozen=True)
-class Congruence:
-    """Meet/join-compatible partition: element index -> class id.
-
-    Class ids are canonical: ordered by least representative.
-    """
-
-    classes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
-
-    @property
-    def num_classes(self) -> int:
-        return max(self.classes) + 1 if self.classes else 0
-
-    def cls(self, a: int) -> int:
-        return self.classes[a]
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        """The least element of each class, in class order."""
-        return tuple(np.unique(self.classes, return_index=True)[1].tolist())
-
-    def members(self, c: int) -> frozenset:
-        return frozenset(a for a, k in enumerate(self.classes) if k == c)
-
-
-def congruence_from_classes(L: Lattice, classes) -> Congruence:
-    """Validate compatibility of a partition, one class per element of L;
-    ValueError if its length is not L.n, IncompatiblePartition with a
-    witness quadruple (a, b, a', b') on failure.
-
-    (a', b') is the first cell, in row-major order and meet before join,
-    whose class differs from that of (a, b), the first cell of its class
-    pair: the least members of the classes of a' and b', whose cell is the
-    entry of L/θ's table.  The cells are compared over row blocks.
-    """
-    classes = class_ids(classes)
-    if len(classes) != L.n:
-        raise ValueError(f"classes: {len(classes)} entries for {L.n} elements")
-    c = np.asarray(classes)
-    reps = np.unique(c, return_index=True)[1]
-    for op, table, Q in zip(("meet", "join"), (L.meet, L.join), _class_tables(L, c, reps)):
-        for s in _row_blocks(L.n, L.n):
-            bad = c[table[s]] != Q[c[s, None], c]
-            if bad.any():
-                a, b = divmod(int(bad.argmax()), L.n)
-                a += s.start
-                raise IncompatiblePartition(op, (int(reps[c[a]]), int(reps[c[b]]), a, b))
-    return Congruence(classes)
-
-
-def _require_ideal(L: Lattice, I) -> frozenset:
-    Iset = frozenset(int(x) for x in I)
-    if not Iset or ideal_witness(L, Iset):
-        raise NotAnIdeal(f"{sorted(Iset)} is not an ideal")
-    return Iset
-
-
-def congruence_beta_prime(L: Lattice, I) -> Congruence:
-    """Fine congruence: a ~ b iff each is below the other joined with some
-    ideal member.  With a finite ideal this reduces to a | max(I) == b | max(I).
-    """
-    Iset = _require_ideal(L, I)
-    m = L.bottom
-    for a in Iset:
-        m = int(L.join[m, a])
-    C = congruence_from_classes(L, (int(L.join[a, m]) for a in range(L.n)))
-    if C.members(C.cls(L.bottom)) != Iset:
-        raise NotAnIdeal("bottom class does not equal the ideal")
-    return C
-
-
-def congruence_beta_dprime(L: Lattice, I) -> Congruence:
-    """Coarse congruence: a ~ b iff a and b are trivialized into the ideal by
-    exactly the same elements."""
-    Iset = _require_ideal(L, I)
-    in_ideal = np.zeros(L.n, dtype=bool)
-    in_ideal[list(Iset)] = True
-    # row a of in_ideal[meet] is {c : a & c in I}
-    C = congruence_from_classes(L, row_classes(in_ideal[L.meet])[0])
-    if C.members(C.cls(L.bottom)) != Iset:
-        raise NotAnIdeal("bottom class does not equal the ideal")
-    return C
+from .spectrum import SpectralSpace, is_powerset_hom
 
 
 def _class_tables(L: Lattice, cls: np.ndarray, reps) -> tuple:
@@ -140,19 +44,6 @@ def _class_tables(L: Lattice, cls: np.ndarray, reps) -> tuple:
     per element a, on reps, one element of each class in class order."""
     ix = np.ix_(reps, reps)
     return cls[L.meet[ix]], cls[L.join[ix]]
-
-
-def quotient(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
-    """Quotient lattice over class representatives plus the projection hom."""
-    C = congruence_from_classes(L, C.classes)
-    cls = np.asarray(C.classes)
-    labels = None if L.labels is None else tuple(
-        "|".join(L.labels[a] for a in members)
-        for members in row_lists(cls == np.arange(C.num_classes)[:, None])
-    )
-    Q = build_lattice(*_class_tables(L, cls, C.representatives), cls[L.bottom], cls[L.top],
-                      labels)
-    return Q, LatticeHom(L, Q, C.classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,11 +85,6 @@ class Representation:
     def __eq__(self, other):
         return (isinstance(other, Representation) and self.outcome_ranks == other.outcome_ranks
                 and np.array_equal(self.sigma, other.sigma))
-
-
-def check_representation_hom(L: Lattice, R: Representation) -> bool:
-    """sigma must be a bounded-lattice hom into the powerset of X."""
-    return is_powerset_hom(L, R.sigma)
 
 
 def derive_pref_from_rep(R: Representation) -> WeakOrder:
@@ -261,7 +147,7 @@ def factor_check(
     Refutation with the first witness pair when it does not.
     """
     for R in (R_other, R_min):
-        if not check_representation_hom(L, R):
+        if not is_powerset_hom(L, R.sigma):
             raise NotARepresentation("sigma_map is not a bounded-lattice hom")
         ok, _ = verify_representation(L, W, R)
         if not ok:

@@ -63,29 +63,6 @@ def is_powerset_hom(L: Lattice, M: np.ndarray) -> bool:
     return _is_set_hom(L, np.packbits(M, axis=1))
 
 
-def check_sigma_isomorphism(L: Lattice, S: SpectralSpace) -> bool:
-    """True iff sigma is injective on L and a bounded hom into the powerset
-    of the points."""
-    sigma = S.member.T
-    return len(row_classes(sigma)[1]) == L.n and is_powerset_hom(L, sigma)
-
-
-def ideal_witness(L: Lattice, I):
-    """None if the subset I is down-closed and join-closed (an ideal, when
-    non-empty).  Otherwise (a, b, kind) for the least a in I and then the
-    least b with b <= a outside I ("down-closure") or b in I with a | b
-    outside I ("join-closure"), down-closure first at the same (a, b)."""
-    inside = np.zeros(L.n, dtype=bool)
-    inside[list(I)] = True
-    members = np.flatnonzero(inside)
-    down = L.leq_table[:, members].T & ~inside
-    bad = down | (inside & ~inside[L.join[members]])
-    if not bad.any():
-        return None
-    k, b = divmod(int(bad.argmax()), L.n)
-    return int(members[k]), b, "down-closure" if down[k, b] else "join-closure"
-
-
 @dataclass(frozen=True)
 class TopologyReport:
     open_sets: tuple  # frozensets of point indices, sorted by (size, mask)

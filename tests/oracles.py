@@ -1,18 +1,84 @@
 """Exhaustive enumerators and plain-loop oracles the tests compare the
-array code against.  Each oracle evaluates its definition literally, one
-element or pair at a time."""
+array code against, and the paper's constructions that no command runs:
+relative complements, the zero class, strict upper contours, the
+congruences β′ and β″ and the quotient L/θ, with the errors only they
+raise.  Each evaluates its definition literally, one element or pair at a
+time; the tests check the paper's theorems on them."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from lattimin.errors import IncompatiblePartition, NotALattice, TooLarge
-from lattimin.lattice import Lattice, LatticeHom, Poset, build_lattice, class_ids
-from lattimin.preference import WeakOrder, dense_ranks
-from lattimin.representation import Congruence, Representation
+from lattimin.duality import dual_forward
+from lattimin.errors import LattiminError, TooLarge
+from lattimin.lattice import Lattice, LatticeHom, Poset, build_lattice
+from lattimin.preference import WeakOrder, axioms12_hold, dense_ranks
+from lattimin.representation import Representation
+from lattimin.spectrum import SpectralSpace, enumerate_prime_filters
+
+
+class NotALattice(LattiminError):
+    """An order relation lacks a greatest lower / least upper bound somewhere."""
+
+
+class NotAnIdeal(LattiminError):
+    """A subset expected to be an ideal is not; carries a witness."""
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)
+
+
+class IncompatiblePartition(LattiminError):
+    """A partition is not compatible with meet/join; carries a witness quadruple."""
+
+    def __init__(self, op, witness):
+        self.op = op
+        self.witness = tuple(witness)
+        super().__init__(f"partition incompatible with {op} at {self.witness}")
+
+
+class AxiomsNotSatisfied(LattiminError):
+    """Caller asserted Axioms 1-2 but a scan refuted them."""
+
+
+def class_ids(keys) -> tuple[int, ...]:
+    """Class id per key, numbered in order of first appearance; the kernel of
+    a hom h is class_ids(h.mapping)."""
+    ids: dict = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
+@dataclass(frozen=True)
+class Congruence:
+    """Meet/join-compatible partition: element index -> class id.
+
+    Class ids are canonical: ordered by least representative.
+    """
+
+    classes: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
+
+    @property
+    def num_classes(self) -> int:
+        return max(self.classes) + 1 if self.classes else 0
+
+    def cls(self, a: int) -> int:
+        return self.classes[a]
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        """The least element of each class, in class order."""
+        return tuple(self.classes.index(c) for c in range(self.num_classes))
+
+    def members(self, c: int) -> frozenset:
+        return frozenset(a for a, k in enumerate(self.classes) if k == c)
 
 
 def enumerate_weak_orders(k: int):
@@ -50,9 +116,14 @@ def literal_dominance(sets, ranks) -> list:
 
 
 def congruence_by_loop(L: Lattice, classes) -> Congruence:
-    """Plain-loop oracle for congruence_from_classes: the first incompatible
-    cell in row-major order, meet before join, raises IncompatiblePartition."""
+    """A partition, one class per element of L, as a Congruence once every
+    cell is compatible; ValueError if its length is not L.n.  The first
+    incompatible cell (a, b) in row-major order, meet before join, raises
+    IncompatiblePartition with (a0, b0, a, b), (a0, b0) the first cell of
+    its class pair."""
     classes = class_ids(classes)
+    if len(classes) != L.n:
+        raise ValueError(f"classes: {len(classes)} entries for {L.n} elements")
     for op, table in (("meet", L.meet), ("join", L.join)):
         seen: dict = {}
         for a in range(L.n):
@@ -84,6 +155,46 @@ def powerset_hom_by_loop(L: Lattice, images, size: int) -> bool:
     return True
 
 
+def check_sigma_isomorphism(L: Lattice, S: SpectralSpace) -> bool:
+    """True iff sigma is injective on L and a bounded hom into the powerset
+    of the points."""
+    sigma = S.sigma_table
+    return len(set(sigma)) == L.n and powerset_hom_by_loop(L, sigma, len(S.points))
+
+
+def relative_complements(L: Lattice, a: int, a_prime: int) -> tuple[int, ...]:
+    """All c with a | c == a | a' and a & c == bottom, ascending by index."""
+    return tuple(
+        c for c in range(L.n)
+        if L.join[a, c] == L.join[a, a_prime] and L.meet[a, c] == L.bottom
+    )
+
+
+def relative_complement(L: Lattice, a: int, a_prime: int) -> Optional[int]:
+    """The <=-least relative complement of a with respect to a', or None.
+
+    The witness set is meet-closed in a distributive lattice, so the fold-meet
+    of all witnesses is itself the least witness.
+    """
+    cands = relative_complements(L, a, a_prime)
+    if not cands:
+        return None
+    least = cands[0]
+    for c in cands[1:]:
+        least = int(L.meet[least, c])
+    if least not in cands:  # only reachable on non-distributive input
+        raise NotALattice("relative complements are not meet-closed")
+    return least
+
+
+def is_boolean(L: Lattice) -> bool:
+    """True iff every element has a (global) complement."""
+    return all(
+        any(L.meet[a, c] == L.bottom and L.join[a, c] == L.top for c in range(L.n))
+        for a in range(L.n)
+    )
+
+
 def trivializer_set(L: Lattice, W: WeakOrder, a: int) -> frozenset:
     """{b : a & b ~ bottom}, the set of descriptions trivializing a: the
     literal definition, which check_axiom3 evaluates for every a at once."""
@@ -103,18 +214,57 @@ def axiom3_by_loop(L: Lattice, W: WeakOrder) -> list:
     ]
 
 
-def trivializer_classes_by_loop(L: Lattice, I) -> tuple[int, ...]:
-    """Plain-loop oracle for the classes behind
-    representation.congruence_beta_dprime: a ~ b iff {c : a & c in I} and
-    {c : b & c in I} are equal sets."""
-    return class_ids(
-        frozenset(c for c in range(L.n) if int(L.meet[a, c]) in I) for a in range(L.n)
-    )
+def ideal_witness_by_loop(L: Lattice, I):
+    """None if the subset I is down-closed and join-closed (an ideal, when
+    non-empty).  Otherwise (a, b, kind) for the first a in I and then the
+    first b at which it fails, down-closure tested before join-closure."""
+    for a in sorted(I):
+        for b in range(L.n):
+            if L.leq_table[b, a] and b not in I:
+                return a, b, "down-closure"
+            if b in I and int(L.join[a, b]) not in I:
+                return a, b, "join-closure"
+    return None
 
 
-def quotient_by_loop(L: Lattice, C: Congruence):
-    """Plain-loop oracle for the tables and labels of
-    representation.quotient: (meet, join, labels) over the representatives."""
+def _require_ideal(L: Lattice, I) -> frozenset:
+    Iset = frozenset(int(x) for x in I)
+    if not Iset or ideal_witness_by_loop(L, Iset):
+        raise NotAnIdeal(f"{sorted(Iset)} is not an ideal")
+    return Iset
+
+
+def congruence_beta_prime(L: Lattice, I) -> Congruence:
+    """Fine congruence: a ~ b iff each is below the other joined with some
+    ideal member.  With a finite ideal this reduces to a | max(I) == b | max(I).
+    """
+    Iset = _require_ideal(L, I)
+    m = L.bottom
+    for a in Iset:
+        m = int(L.join[m, a])
+    C = congruence_by_loop(L, (int(L.join[a, m]) for a in range(L.n)))
+    if C.members(C.cls(L.bottom)) != Iset:
+        raise NotAnIdeal("bottom class does not equal the ideal")
+    return C
+
+
+def congruence_beta_dprime(L: Lattice, I) -> Congruence:
+    """Coarse congruence: a ~ b iff a and b are trivialized into the ideal by
+    exactly the same elements, {c : a & c in I} == {c : b & c in I}."""
+    Iset = _require_ideal(L, I)
+    C = congruence_by_loop(L, (
+        frozenset(c for c in range(L.n) if int(L.meet[a, c]) in Iset) for a in range(L.n)
+    ))
+    if C.members(C.cls(L.bottom)) != Iset:
+        raise NotAnIdeal("bottom class does not equal the ideal")
+    return C
+
+
+def quotient_by_loop(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
+    """The quotient lattice L/θ, C checked by congruence_by_loop, with its
+    tables read pair by pair on the least member of each class and
+    certified by build_lattice, plus the projection hom."""
+    C = congruence_by_loop(L, C.classes)
     reps, k = C.representatives, C.num_classes
     meet = [[C.cls(int(L.meet[reps[i], reps[j]])) for j in range(k)] for i in range(k)]
     join = [[C.cls(int(L.join[reps[i], reps[j]])) for j in range(k)] for i in range(k)]
@@ -123,7 +273,69 @@ def quotient_by_loop(L: Lattice, C: Congruence):
         labels = tuple(
             "|".join(L.labels[a] for a in sorted(C.members(c))) for c in range(k)
         )
-    return meet, join, labels
+    Q = build_lattice(meet, join, C.cls(L.bottom), C.cls(L.top), labels)
+    return Q, LatticeHom(L, Q, C.classes)
+
+
+def representation_by_quotient(L: Lattice, W: WeakOrder, C: Congruence) -> Representation:
+    """The representation over a built L/θ, for a congruence C on whose
+    classes W is constant: L/θ's own spectrum, and dual_forward on L/θ."""
+    Q, h = quotient_by_loop(L, C)
+    S = enumerate_prime_filters(Q)
+    fwd = dual_forward(Q, S, WeakOrder([W.ranks[r] for r in C.representatives]))
+    return Representation(len(S.points), S.member.T[list(h.mapping)], fwd.ranks)
+
+
+@dataclass(frozen=True)
+class ContourReport:
+    members: frozenset
+    is_ideal: bool
+    proper: bool
+
+
+def strict_upper_contour(
+    L: Lattice, W: WeakOrder, a: int, assert_axioms: bool = False
+) -> ContourReport:
+    """{c : c > a} together with bottom, flagged for proper-ideal-hood."""
+    if assert_axioms and not axioms12_hold(L, W):
+        raise AxiomsNotSatisfied("Axioms 1-2 asserted but refuted by scan")
+    members = frozenset(
+        c for c in range(L.n) if W.strictly_prefers(c, a)
+    ) | {L.bottom}
+    return ContourReport(members, ideal_witness_by_loop(L, members) is None, len(members) < L.n)
+
+
+@dataclass(frozen=True)
+class ZeroClassReport:
+    members: frozenset
+    maximum: int
+    proper: bool
+
+
+def zero_class(L: Lattice, W: WeakOrder) -> ZeroClassReport:
+    """The ideal I = {a : a ~ bottom}; NotAnIdeal with a witness if the
+    axioms fail and I is not actually an ideal."""
+    members = frozenset(a for a in range(L.n) if W.indifferent(a, L.bottom))
+    witness = ideal_witness_by_loop(L, members)
+    if witness:
+        raise NotAnIdeal("indifference-to-bottom class is not an ideal", witness)
+    maximum = L.bottom
+    for a in members:
+        maximum = int(L.join[maximum, a])
+    return ZeroClassReport(members, maximum, len(members) < L.n)
+
+
+def filter_witness(
+    L: Lattice, S: SpectralSpace, W: WeakOrder, a: int, b: int
+) -> Optional[frozenset]:
+    """A prime filter G containing b with a >= b' for every b' in G, or None.
+
+    First witness in canonical point order, for golden-file stability.
+    """
+    for G in S.points:
+        if b in G and all(W.ranks[a] <= W.ranks[bp] for bp in G):
+            return G
+    return None
 
 
 def kernel_split_by_loop(R_other: Representation, R_min: Representation):

@@ -16,15 +16,8 @@ from lattimin import cli, io as io_module, lattice as lattice_module, preference
 from lattimin.cli import main
 from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
-from lattimin.preference import WeakOrder, zero_class
-from lattimin.duality import dual_forward
-from lattimin.representation import (
-    Representation,
-    congruence_beta_prime,
-    derive_pref_from_rep,
-    minimal_representation,
-    quotient,
-)
+from lattimin.preference import WeakOrder
+from lattimin.representation import derive_pref_from_rep, minimal_representation
 from lattimin.spectrum import enumerate_prime_filters, finite_topology_report
 from lattimin.testkit import (
     random_distributive_lattice,
@@ -34,7 +27,13 @@ from lattimin.testkit import (
 )
 
 from fixtures import B2, CHAIN3, M3, N5, chain
-from oracles import all_posets, duplicate_outcome
+from oracles import (
+    all_posets,
+    congruence_beta_prime,
+    duplicate_outcome,
+    representation_by_quotient,
+    zero_class,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -815,6 +814,28 @@ class TestInputErrors:
         assert main(["axioms", "--lattice", chain3_file, "--pref", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: bad preference file: missing field 'ranks'\n"
 
+    @pytest.mark.parametrize("kind, text, reason", [
+        ("lattice", "[" * 100_000 + "]" * 100_000, "nested too deeply: "),
+        ("pref", '{"ranks": [' + "9" * 5000 + ", 0, 0]}", "Exceeds the limit (4300 digits)"),
+        ("pref", '{"ranks": [0, 1, 2], "ranks": [0, 0, 0]}', 'key "ranks" is repeated\n'),
+        ("lattice", '{"poset": {"n": 3, "covers": [[0, 1], [1, 2]]}, "poset": {"n": 2}}',
+         'key "poset" is repeated\n'),
+        ("lattice", '{"poset": {"n": 3, "covers": [[0, 1], [1, 2]], "n": 2}}',
+         'key "n" is repeated\n'),
+        ("rep", '{"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1], "1": [0]},'
+                ' "outcome_ranks": [1, 0]}', 'key "1" is repeated\n'),
+    ], ids=["deep-nesting", "5000-digit-integer", "repeated-top-level-key",
+            "repeated-poset-key", "repeated-key-in-poset-block", "repeated-key-in-sigma"])
+    def test_text_the_parser_refuses(self, chain3_file, w3_file, tmp_path, capsys, kind, text,
+                                     reason):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        files = {"lattice": chain3_file, "pref": w3_file, kind: str(path)}
+        args = ["verify" if kind == "rep" else "axioms"]
+        assert main(args + [f"--{k}={v}" for k, v in files.items()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: {reason}")
+
 
 class TestRepresentationCap:
     """A representation file with more than lattice.MAX_ELEMENTS outcomes is
@@ -854,8 +875,8 @@ class TestRepresentationCap:
         )
         assert done.stdout == "2\n", done.stderr
         assert done.stderr == (
-            f"error: representations capped at {lattice_module.MAX_ELEMENTS} outcomes, "
-            f"got {count}\n"
+            f"error: {tmp_path / 'rep.json'}: representations capped at "
+            f"{lattice_module.MAX_ELEMENTS} outcomes, got {count}\n"
         )
 
 
@@ -1296,10 +1317,7 @@ class TestFuzz:
         the one over the fine congruence β′, is refuted on some trials."""
         def fine_synthesis(L, W):
             C = congruence_beta_prime(L, zero_class(L, W).members)
-            Q, h = quotient(L, C)
-            S = enumerate_prime_filters(Q)
-            fwd = dual_forward(Q, S, WeakOrder([W.ranks[r] for r in C.representatives]))
-            return Representation(len(S.points), S.member.T[list(h.mapping)], fwd.ranks)
+            return representation_by_quotient(L, W, C)
 
         monkeypatch.setattr(cli, "minimal_representation", fine_synthesis)
         out = tmp_path / "fuzz.json"

@@ -5,7 +5,6 @@ from lattimin import (
     dual_backward,
     dual_forward,
     enumerate_prime_filters,
-    filter_witness,
     roundtrip_check,
     duality_equivalence_report,
 )
@@ -17,7 +16,7 @@ from lattimin.testkit import (
 )
 
 from fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
-from oracles import enumerate_weak_orders, literal_dominance
+from oracles import enumerate_weak_orders, filter_witness, literal_dominance
 
 
 def forward_literal(S, W):

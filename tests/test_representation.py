@@ -6,12 +6,8 @@ import pytest
 
 from lattimin import (
     AxiomViolation,
-    Congruence,
-    IncompatiblePartition,
     Lattice,
-    LawViolation,
     LatticeHom,
-    NotAnIdeal,
     NotARepresentation,
     Refutation,
     Representation,
@@ -21,32 +17,30 @@ from lattimin import (
     check_axiom2,
     check_axiom3,
     check_hom,
-    congruence_beta_dprime,
-    congruence_beta_prime,
     derive_pref_from_rep,
     factor_check,
     minimal_representation,
-    quotient,
     validate_laws,
     verify_representation,
 )
-from lattimin import lattice as lattice_module, representation as representation_module
-from lattimin.duality import dual_forward
-from lattimin.lattice import MAX_ELEMENTS, Poset, build_lattice, class_ids, downset_lattice
-from lattimin.preference import zero_class
-from lattimin.spectrum import enumerate_prime_filters
-from lattimin.representation import check_representation_hom, congruence_from_classes
+from lattimin.lattice import MAX_ELEMENTS, Poset, build_lattice, downset_lattice
+from lattimin.spectrum import is_powerset_hom
 from lattimin.testkit import (
     derived_weak_order,
     random_distributive_lattice,
     random_representation,
 )
 
-from conftest import mask_family_by_loop, random_tables, same_tables
+from conftest import mask_family_by_loop, same_tables
 from fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3, principal
 from oracles import (
+    Congruence,
+    IncompatiblePartition,
+    NotAnIdeal,
     all_posets,
-    classify_subset,
+    class_ids,
+    congruence_beta_dprime,
+    congruence_beta_prime,
     congruence_by_loop,
     duplicate_outcome,
     enumerate_weak_orders,
@@ -55,7 +49,8 @@ from oracles import (
     kernel_split_by_loop,
     point_mask,
     quotient_by_loop,
-    trivializer_classes_by_loop,
+    representation_by_quotient,
+    zero_class,
 )
 
 
@@ -111,162 +106,34 @@ class TestBetaDoublePrime:
                 assert C.members(C.cls(L.bottom)) == I
 
 
-    def test_classes_match_loop_oracle(self):
-        P8 = downset_lattice(Poset(8, ((0, 1), (1, 2))))  # 128 elements
-        cases = [(P8, zero_class(P8, derived_weak_order(P8, seed)).members)
-                 for seed in (200, 208)]
-        for seed in range(60):
-            L = random_distributive_lattice(5, seed)
-            cases += [(L, principal(L, m)) for m in range(L.n)]
-            cases.append((L, zero_class(L, derived_weak_order(L, seed)).members))
-        counts = set()
-        for L, I in cases:
-            C = congruence_beta_dprime(L, I)
-            assert C.classes == trivializer_classes_by_loop(L, I)
-            counts.add(C.num_classes)
-        assert len(counts) >= 4
-
-
-    def test_law_broken_tables_match_loop_oracle(self):
-        """On tables with overwritten entries, the principal down-sets that
-        are still ideals give the same classes, or the same incompatible
-        cell, as the loop keys."""
-        outcomes = set()
-        for seed in range(1, 400, 2):
-            L = random_tables(seed)
-            for m in range(L.n):
-                I = principal(L, m)
-                if not classify_subset(L, I).is_ideal:
-                    continue
-                try:
-                    fast = congruence_beta_dprime(L, I).classes
-                except IncompatiblePartition as e:
-                    with pytest.raises(IncompatiblePartition) as slow:
-                        congruence_by_loop(L, trivializer_classes_by_loop(L, I))
-                    assert slow.value.witness == e.witness
-                    outcomes.add(e.op)
-                except NotAnIdeal:
-                    outcomes.add("bottom class")
-                else:
-                    assert fast == trivializer_classes_by_loop(L, I)
-                    outcomes.add("congruence")
-        assert {"congruence", "meet", "join"} <= outcomes
-
-
-class TestRepresentatives:
-    def test_least_element_of_each_class(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            k = rng.randint(1, 5)
-            perm = rng.sample(range(k), k)  # class ids need not follow first appearance
-            classes = [perm[c] for c in range(k)] + [rng.randrange(k) for _ in range(10)]
-            rng.shuffle(classes)
-            expected = tuple(classes.index(c) for c in range(k))
-            assert Congruence(classes).representatives == expected
-
-
 class TestQuotient:
     def test_identity_congruence(self):
-        Q, h = quotient(CHAIN3, Congruence((0, 1, 2)))
+        Q, h = quotient_by_loop(CHAIN3, Congruence((0, 1, 2)))
         assert same_tables(Q, CHAIN3) and h.mapping == (0, 1, 2)
 
     def test_chain3_collapse(self):
-        Q, h = quotient(CHAIN3, Congruence((0, 0, 1)))
+        Q, h = quotient_by_loop(CHAIN3, Congruence((0, 0, 1)))
         assert same_tables(Q, CHAIN2)
 
     def test_b2_collapse(self):
-        Q, _ = quotient(B2, Congruence((0, 0, 1, 1)))
+        Q, _ = quotient_by_loop(B2, Congruence((0, 0, 1, 1)))
         assert same_tables(Q, CHAIN2)
 
     def test_incompatible_partition_rejected(self):
         # merging bottom with an atom but not the other pair breaks joins
         with pytest.raises(IncompatiblePartition) as ei:
-            quotient(B2, Congruence((0, 0, 1, 2)))
+            quotient_by_loop(B2, Congruence((0, 0, 1, 2)))
         assert len(ei.value.witness) == 4
-
-    def test_congruence_check_matches_loop_oracle(self):
-        def outcome(check, L, classes):
-            try:
-                return check(L, classes)
-            except IncompatiblePartition as e:
-                return e.op, e.witness
-
-        rng = random.Random(5)
-        outcomes = set()
-        for seed in range(400):
-            L = random_distributive_lattice(5, seed)
-            if seed % 2:  # a congruence: classes of a | m for a fixed m
-                m = rng.randrange(L.n)
-                classes = [int(L.join[a, m]) for a in range(L.n)]
-            else:
-                k = rng.randint(1, L.n)
-                classes = [rng.randrange(k) for _ in range(L.n)]
-            fast = outcome(congruence_from_classes, L, classes)
-            assert fast == outcome(congruence_by_loop, L, classes), seed
-            outcomes.add(fast[0] if isinstance(fast, tuple) else "congruence")
-        assert outcomes == {"meet", "join", "congruence"}
-
-    def test_congruence_check_matches_loop_oracle_over_row_blocks(self, monkeypatch):
-        """With a few rows per block, the first bad cell often lies past the
-        first block, and its witness is still the loop's."""
-        monkeypatch.setattr(lattice_module, "BLOCK_ELEMENTS", 8)
-        rng = random.Random(6)
-        past_first_block = 0
-        for seed in range(200):
-            L = random_distributive_lattice(6, seed)
-            k = rng.randint(2, 4)
-            classes = [rng.randrange(k) for _ in range(L.n)]
-            try:
-                fast = congruence_from_classes(L, classes)
-            except IncompatiblePartition as e:
-                fast = e.op, e.witness
-                past_first_block += e.witness[2] >= lattice_module._row_blocks(L.n, L.n)[0].stop
-            try:
-                slow = congruence_by_loop(L, classes)
-            except IncompatiblePartition as e:
-                slow = e.op, e.witness
-            assert fast == slow, seed
-        assert past_first_block >= 50, past_first_block
-
-    def test_tables_and_labels_match_loop_oracle(self):
-        for seed in range(60):
-            L = random_distributive_lattice(5, seed)
-            unlabeled = Lattice(L.meet, L.join, L.bottom, L.top)
-            for m in range(L.n):
-                I = principal(L, m)
-                for C in (congruence_beta_prime(L, I), congruence_beta_dprime(L, I)):
-                    for K in (L, unlabeled):
-                        Q, h = quotient(K, C)
-                        meet, join, labels = quotient_by_loop(K, C)
-                        assert Q.meet.tolist() == meet and Q.join.tolist() == join
-                        assert Q.labels == labels and h.mapping == C.classes
-
-    def test_law_broken_tables_match_loop_oracle(self):
-        """Quotients of tables with overwritten entries that are lawful
-        again."""
-        compared = 0
-        for seed in range(1, 400, 2):
-            L = random_tables(seed)
-            for m in range(L.n):
-                try:
-                    C = congruence_from_classes(L, [int(L.join[a, m]) for a in range(L.n)])
-                    Q, _ = quotient(L, C)
-                except (IncompatiblePartition, LawViolation):
-                    continue
-                meet, join, _ = quotient_by_loop(L, C)
-                assert Q.meet.tolist() == meet and Q.join.tolist() == join
-                compared += 1
-        assert compared >= 100
 
     def test_partition_of_the_wrong_length_refused(self):
         with pytest.raises(ValueError, match=r"^classes: 2 entries for 3 elements$"):
-            congruence_from_classes(CHAIN3, [0, 1])
+            congruence_by_loop(CHAIN3, [0, 1])
         with pytest.raises(ValueError, match=r"^classes: 4 entries for 3 elements$"):
-            quotient(CHAIN3, Congruence((0, 0, 1, 1)))
+            quotient_by_loop(CHAIN3, Congruence((0, 0, 1, 1)))
 
     def test_kernel_of_projection_is_congruence(self):
         C = Congruence((0, 0, 1))
-        Q, h = quotient(CHAIN3, C)
+        Q, h = quotient_by_loop(CHAIN3, C)
         assert kernel(h).classes == C.classes
 
 
@@ -318,16 +185,6 @@ def coarsest_compatible_by_removal(L, W):
     return C
 
 
-def minimal_representation_by_quotient(L, W):
-    """The synthesis written out over a built L/θ*: quotient, L/θ*'s own
-    spectrum, and dual_forward on L/θ*."""
-    C = coarsest_compatible_by_removal(L, W)
-    Q, h = quotient(L, C)
-    S = enumerate_prime_filters(Q)
-    fwd = dual_forward(Q, S, WeakOrder([W.ranks[r] for r in C.representatives]))
-    return Representation(len(S.points), S.member.T[list(h.mapping)], fwd.ranks)
-
-
 def permuted(L, rng):
     """L with its elements renumbered by a random permutation."""
     perm = np.array(rng.sample(range(L.n), L.n))
@@ -347,11 +204,12 @@ class TestSynthesisOracle:
         if check_axiom1(L, W) or check_axiom2(L, W):
             return None
         R = minimal_representation(L, W)
-        assert R == minimal_representation_by_quotient(L, W), (L.meet.tolist(), W.ranks)
+        theta = coarsest_compatible_by_removal(L, W)
+        assert R == representation_by_quotient(L, W, theta), (L.meet.tolist(), W.ranks)
         if check_axiom3(L, W):
             return True
         trivializer = congruence_beta_dprime(L, zero_class(L, W).members)
-        assert coarsest_compatible_by_removal(L, W) == trivializer, (L.meet.tolist(), W.ranks)
+        assert theta == trivializer, (L.meet.tolist(), W.ranks)
         return False
 
     def test_every_small_poset(self):
@@ -380,8 +238,7 @@ class TestSynthesisOracle:
         def refuse(*args, **kwargs):
             pytest.fail("a lattice was built")
 
-        monkeypatch.setattr(representation_module, "quotient", refuse)
-        monkeypatch.setattr(representation_module, "build_lattice", refuse)
+        monkeypatch.setattr(Lattice, "__post_init__", refuse)
         for L, W in lattices:
             assert verify_representation(L, W, minimal_representation(L, W))[0]
 
@@ -481,7 +338,7 @@ class TestFactorCheck:
     def test_duplicated_outcome_factors(self):
         R = minimal_representation(CHAIN3, W3)
         R_hat = duplicate_outcome(R, 0)
-        assert check_representation_hom(CHAIN3, R_hat)
+        assert is_powerset_hom(CHAIN3, R_hat.sigma)
         hom = factor_check(CHAIN3, W3, R_hat, R)
         assert isinstance(hom, LatticeHom) and check_hom(hom)
         assert set(hom.mapping) == set(range(hom.target.n))
@@ -518,20 +375,16 @@ class TestFactorCheck:
     def test_representation_of_another_order_rejected(self):
         R_min = minimal_representation(CHAIN3, W3)
         R_rev = Representation(2, R_min.sigma_map, tuple(reversed(R_min.outcome_ranks)))
-        assert check_representation_hom(CHAIN3, R_rev)
+        assert is_powerset_hom(CHAIN3, R_rev.sigma)
         for pair in ((R_rev, R_min), (R_min, R_rev)):
             with pytest.raises(NotARepresentation, match="does not reproduce W"):
                 factor_check(CHAIN3, W3, *pair)
 
-    def test_image_lattices_are_neither_built_nor_certified(self, monkeypatch):
+    def test_image_lattices_are_neither_built_nor_certified(self):
         """Each image lattice is read off L's tables once sigma is shown a
-        hom; no build_lattice runs and no law certificate is computed on it,
-        yet each is lawful and the factoring map a hom."""
-
-        def refuse(*args, **kwargs):
-            pytest.fail("an image lattice was built")
-
-        monkeypatch.setattr(representation_module, "build_lattice", refuse)
+        hom; no law certificate is computed on it, by build_lattice or
+        otherwise, so none is cached on it, yet each is lawful and the
+        factoring map a hom."""
         for seed in range(30):
             L = random_distributive_lattice(5, seed)
             W = derived_weak_order(L, seed)
@@ -601,7 +454,7 @@ class TestDerivedOrderAxioms:
         for seed in range(200):
             L = random_distributive_lattice(5, seed)
             R = random_representation(L, seed)
-            assert check_representation_hom(L, R)
+            assert is_powerset_hom(L, R.sigma)
             derived = derive_pref_from_rep(R)
             assert check_axiom1(L, derived) == []
             assert check_axiom2(L, derived) == []

@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import pathlib
 import random
@@ -7,7 +8,7 @@ import pytest
 
 import lattimin
 from lattimin import TooLarge, validate_laws
-from lattimin.representation import check_representation_hom
+from lattimin.spectrum import is_powerset_hom
 from lattimin.testkit import (
     random_distributive_lattice,
     random_poset,
@@ -80,7 +81,7 @@ class TestRandomRepresentation:
     def test_sigma_is_always_a_hom(self):
         for seed in range(100):
             L = random_distributive_lattice(5, seed)
-            assert check_representation_hom(L, random_representation(L, seed))
+            assert is_powerset_hom(L, random_representation(L, seed).sigma)
 
     def test_determinism(self):
         assert random_representation(CHAIN3, 11) == random_representation(CHAIN3, 11)
@@ -89,7 +90,7 @@ class TestRandomRepresentation:
         R = random_representation(B2, 5)
         R2 = duplicate_outcome(R, 0)
         assert R2.outcome_count == R.outcome_count + 1
-        assert check_representation_hom(B2, R2)
+        assert is_powerset_hom(B2, R2.sigma)
 
 
 class TestAllPosets:
@@ -161,8 +162,51 @@ class TestShippedCode:
             assert not gone & self.defined(path), path.name
             assert "Counter" not in path.read_text(), path.name
         assert self.uses("tobytes") == {("lattice.py", "row_classes")}
-        assert self.uses("unique") == {("representation.py", "representatives"),
-                                       ("representation.py", "congruence_from_classes")}
+        assert self.uses("unique") == set()
+
+    # Each construction that no command runs, and that left the package, ->
+    # its one definition under tests/; None for check_representation_hom,
+    # an alias of spectrum.is_powerset_hom.
+    MOVED = {
+        **{name: name for name in (
+            "NotALattice", "NotAnIdeal", "IncompatiblePartition", "AxiomsNotSatisfied",
+            "relative_complements", "relative_complement", "is_boolean", "class_ids",
+            "check_sigma_isomorphism", "ContourReport", "strict_upper_contour",
+            "ZeroClassReport", "zero_class", "filter_witness", "Congruence", "_require_ideal",
+            "congruence_beta_prime", "congruence_beta_dprime",
+        )},
+        "congruence_from_classes": "congruence_by_loop",
+        "quotient": "quotient_by_loop",
+        "ideal_witness": "ideal_witness_by_loop",
+        "check_representation_hom": None,
+    }
+
+    def test_moved_constructions_defined_once_under_tests(self):
+        for path in self.PACKAGE.glob("*.py"):
+            assert not self.MOVED.keys() & self.defined(path), path.name
+        assert not [name for name in self.MOVED if hasattr(lattimin, name)]
+        counts = collections.Counter()
+        for path in self.TESTS.glob("*.py"):
+            counts.update(self.defined(path))
+        assert {name: counts[name] for name in self.MOVED.values() if name} == {
+            name: 1 for name in self.MOVED.values() if name
+        }
+
+    def test_no_unused_module_level_import(self):
+        """Every name a package module imports at its top level is read in
+        that module; __init__ only re-exports."""
+        for path in self.PACKAGE.glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = {
+                (alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            }
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            assert imported <= read, (path.name, sorted(imported - read))
 
     def test_package_imports_nothing_from_tests(self):
         local = {"tests"} | {path.stem for path in self.TESTS.glob("*.py")}
