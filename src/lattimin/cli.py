@@ -3,7 +3,7 @@ and synthesis, emit deterministic JSON reports.
 
 Exit codes: 0 success/agreement, 1 check failure (violations written to the
 report), 2 malformed input or a report that cannot be written, 3 internal
-error (entrypoint only).
+error, 4 out of memory (3 and 4 from entrypoint only).
 """
 
 from __future__ import annotations
@@ -285,16 +285,18 @@ def main(argv=None) -> int:
 
 
 def entrypoint(argv=None):
-    """The lattimin program: main's exit code, or 3 with a one-line message
-    for any other exception, a fault of lattimin rather than of the input or
-    a check.  main itself lets such an exception propagate to an in-process
-    caller, and MemoryError keeps its own traceback here.  Logging (LM_LOG)
+    """The lattimin program: main's exit code, 4 with a one-line message for
+    a MemoryError, or 3 with a one-line message for any other exception, a
+    fault of lattimin rather than of the input or a check.  main itself lets
+    such an exception propagate to an in-process caller.  Logging (LM_LOG)
     is set up here, so main leaves an in-process caller's loggers alone."""
     _setup_logging()
     try:
         code = main(argv)
-    except MemoryError:
-        raise
+    except MemoryError as e:
+        log.debug("out of memory", exc_info=True)
+        print(f"out of memory: {e}" if str(e) else "out of memory", file=sys.stderr)
+        code = 4
     except Exception as e:
         log.debug("internal error", exc_info=True)
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

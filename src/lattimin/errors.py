@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one way their messages
+quote a piece of the input."""
 
 
 class LattiminError(Exception):
@@ -34,3 +35,13 @@ class NotARepresentation(LattiminError):
 
 class TooLarge(LattiminError):
     """Input exceeds the size cap of an exhaustive operation."""
+
+
+# Most characters of a piece of the input that a message quotes.
+QUOTE_CHARS = 64
+
+
+def quote(text: str) -> str:
+    """text, a piece of the input written into a message, cut to QUOTE_CHARS
+    characters, the last of them "…", if it is longer."""
+    return text if len(text) <= QUOTE_CHARS else text[: QUOTE_CHARS - 1] + "…"

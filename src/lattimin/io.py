@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from .errors import LattiminError, TooLarge
+from .errors import LattiminError, TooLarge, quote
 from .lattice import Lattice, Poset, _certify, build_lattice, downset_lattice, row_lists
 from .preference import WeakOrder
 from .representation import Representation
@@ -42,7 +42,7 @@ def _unrepeated(pairs: list) -> dict:
     if len(d) < len(pairs):
         seen: set = set()
         key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"key {json.dumps(key)} is repeated")
+        raise ValueError(f"key {quote(json.dumps(key))} is repeated")
     return d
 
 
@@ -126,12 +126,12 @@ def _walk_ints(value, name: str, depth: int):
     reading order; only a value refused at C speed is walked."""
     if depth:
         if not isinstance(value, list):
-            raise TypeError(f"{name}: expected a list, got {json.dumps(value)}")
+            raise TypeError(f"{name}: expected a list, got {quote(json.dumps(value))}")
         return [_walk_ints(v, name, depth - 1) for v in value]
     if type(value) is not int:
-        raise TypeError(f"{name}: {json.dumps(value)} is not an integer")
+        raise TypeError(f"{name}: {quote(json.dumps(value))} is not an integer")
     if not -INT_LIMIT < value < INT_LIMIT:
-        raise ValueError(f"{name}: {value} is outside the integer range (-2**62, 2**62)")
+        raise ValueError(f"{name}: {quote(str(value))} is outside the integer range (-2**62, 2**62)")
     return value
 
 
@@ -143,21 +143,17 @@ def _object(value, name: str) -> dict:
 
 
 def _labels(value, n: int):
-    """value if it is null or a list of n strings, else FormatError saying why."""
+    """value if it is null or a list of n strings, else TypeError or
+    ValueError saying why."""
     if value is not None:
         if type(value) is not list:
-            raise FormatError(f"labels: expected a list of strings or null, got {json.dumps(value)}")
+            got = quote(json.dumps(value))
+            raise TypeError(f"labels: expected a list of strings or null, got {got}")
         if bad := [v for v in value if type(v) is not str]:
-            raise FormatError(f"labels: {json.dumps(bad[0])} is not a string")
+            raise TypeError(f"labels: {quote(json.dumps(bad[0]))} is not a string")
         if len(value) != n:
-            raise FormatError(f"labels: {len(value)} labels for {n} elements")
+            raise ValueError(f"labels: {len(value)} labels for {n} elements")
     return value
-
-
-def _reason(e: Exception) -> str:
-    """Why a field was refused: a KeyError, whose message is the bare key,
-    names the missing field."""
-    return f"missing field {e}" if isinstance(e, KeyError) else str(e)
 
 
 def _sigma_rows(sigma: dict, n: int) -> list:
@@ -169,7 +165,7 @@ def _sigma_rows(sigma: dict, n: int) -> list:
         raise ValueError(f"sigma: no entry for element {missing[0]}")
     if extra := sigma.keys() - set(keys):
         key = next(k for k in sigma if k in extra)
-        raise ValueError(f"sigma: key {json.dumps(key)} is not an element 0..{n - 1}")
+        raise ValueError(f"sigma: key {quote(json.dumps(key))} is not an element 0..{n - 1}")
     return [sigma[key] for key in keys]
 
 
@@ -177,17 +173,11 @@ TABLE_FIELDS = ("n", "meet", "join", "bottom", "top", "labels")
 POSET_FIELDS = ("n", "covers")
 
 
-def _unknown_key(d: dict, fields) -> str | None:
-    """The first key of d, in file order, that is not one of fields, quoted
-    as JSON; None if there is none."""
-    return next((json.dumps(k) for k in d if k not in fields), None)
-
-
 def _refuse_unknown_key(d: dict, fields) -> None:
     """ValueError naming the first key of d, in file order, that is not one
     of fields."""
-    if key := _unknown_key(d, fields):
-        raise ValueError(f"key {key} is not a field ({', '.join(fields)})")
+    if extra := [k for k in d if k not in fields]:
+        raise ValueError(f"key {quote(json.dumps(extra[0]))} is not a field ({', '.join(fields)})")
 
 
 def lattice_from_dict(d, validate=True) -> Lattice:
@@ -200,38 +190,27 @@ def lattice_from_dict(d, validate=True) -> Lattice:
     the tables' own checks.  The poset form stands for the lattice of its
     down-sets, which is lawful by construction.  A key outside the form's
     fields (TABLE_FIELDS; "poset" alone, and POSET_FIELDS in its block) is
-    refused, the first in file order, before any field is read.
+    refused, the first in file order, before any field is read.  A missing
+    field raises KeyError, and a refused one TypeError or ValueError naming
+    it.
     """
     if "poset" in d:
-        if key := _unknown_key(d, ("poset",)):
-            raise FormatError(f'lattice file: key {key} is not a field of the poset form ("poset")')
-        try:
-            p = _object(d["poset"], "poset")
-            _refuse_unknown_key(p, POSET_FIELDS)
-            P = Poset(_ints(p["n"], "n"), _ints(p["covers"], "covers", 2))
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"bad poset block: {_reason(e)}") from e
-        return downset_lattice(P)
-    if key := _unknown_key(d, TABLE_FIELDS):
-        raise FormatError(
-            f"lattice file: key {key} is not a field of the table form ({', '.join(TABLE_FIELDS)})"
-        )
-    try:
-        args = (
-            _table(d["meet"], "meet"),
-            _table(d["join"], "join"),
-            _ints(d["bottom"], "bottom"),
-            _ints(d["top"], "top"),
-            _labels(d.get("labels"), len(d["meet"])),  # a list: _table read it
-        )
-        L = build_lattice(*args) if validate else Lattice(*args)
-        if "n" in d and (type(d["n"]) is not int or d["n"] != L.n):
-            raise ValueError(f"n: {json.dumps(d['n'])} is not the table size {L.n}")
-        return L
-    except KeyError as e:
-        raise FormatError(f"lattice file missing field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"bad lattice tables: {e}") from e
+        _refuse_unknown_key(d, ("poset",))
+        p = _object(d["poset"], "poset")
+        _refuse_unknown_key(p, POSET_FIELDS)
+        return downset_lattice(Poset(_ints(p["n"], "n"), _ints(p["covers"], "covers", 2)))
+    _refuse_unknown_key(d, TABLE_FIELDS)
+    args = (
+        _table(d["meet"], "meet"),
+        _table(d["join"], "join"),
+        _ints(d["bottom"], "bottom"),
+        _ints(d["top"], "top"),
+        _labels(d.get("labels"), len(d["meet"])),  # a list: _table read it
+    )
+    L = build_lattice(*args) if validate else Lattice(*args)
+    if "n" in d and (type(d["n"]) is not int or d["n"] != L.n):
+        raise ValueError(f"n: {quote(json.dumps(d['n']))} is not the table size {L.n}")
+    return L
 
 
 def lattice_to_dict(L: Lattice) -> dict:
@@ -245,6 +224,22 @@ def lattice_to_dict(L: Lattice) -> dict:
     if L.labels is not None:
         d["labels"] = list(L.labels)
     return d
+
+
+def _from_file(path, kind: str, read, *args):
+    """read(*args), the reading of the kind file at path, with path first in
+    every refusal: a KeyError (a missing field), TypeError or ValueError
+    becomes a FormatError, and a LattiminError (a size cap, a cyclic poset,
+    a broken law) is raised again with path put before its message."""
+    try:
+        return read(*args)
+    except KeyError as e:
+        raise FormatError(f"{path}: bad {kind} file: missing field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path}: bad {kind} file: {e}") from e
+    except LattiminError as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 # The bytes of the last lattice file loaded, and the Lattice read from them.
@@ -267,27 +262,25 @@ def load_lattice(path, validate=True) -> Lattice:
     last, L = _last_lattice
     if last == data:
         if validate and L.birkhoff is None:
-            _certify(L)
+            _from_file(path, "lattice", _certify, L)
         return L
-    L = lattice_from_dict(_decode(path, data), validate=validate)
+    L = _from_file(path, "lattice", lattice_from_dict, _decode(path, data), validate)
     _last_lattice = data, L
     return L
 
 
-def load_preference(path, L: Lattice) -> WeakOrder:
-    """The weak order in the preference file at path; a key other than
-    "ranks" is refused once the field is read."""
-    d = load_json(path)
-    try:
-        ranks = _ints(d["ranks"], "ranks", 1)
-        _refuse_unknown_key(d, ("ranks",))
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{path}: bad preference file: {_reason(e)}") from e
-    if len(ranks) != L.n:
-        raise FormatError(
-            f"{path}: ranks length {len(ranks)} does not match lattice size {L.n}"
-        )
+def _weak_order(d: dict, n: int) -> WeakOrder:
+    ranks = _ints(d["ranks"], "ranks", 1)
+    _refuse_unknown_key(d, ("ranks",))
+    if len(ranks) != n:
+        raise ValueError(f"ranks length {len(ranks)} does not match lattice size {n}")
     return WeakOrder(tuple(ranks))
+
+
+def load_preference(path, L: Lattice) -> WeakOrder:
+    """The weak order in the preference file at path, one rank per element
+    of L; a key other than "ranks" is refused once the field is read."""
+    return _from_file(path, "preference", _weak_order, load_json(path), L.n)
 
 
 def representation_to_dict(R: Representation) -> dict:
@@ -298,21 +291,19 @@ def representation_to_dict(R: Representation) -> dict:
     }
 
 
+def _representation(d: dict, n: int) -> Representation:
+    count = _ints(d["outcomes"], "outcomes")
+    sets = _ints(_sigma_rows(_object(d["sigma"], "sigma"), n), "sigma", 2)
+    ranks = _ints(d["outcome_ranks"], "outcome_ranks", 1)
+    _refuse_unknown_key(d, ("outcomes", "sigma", "outcome_ranks"))
+    return Representation(count, sets, ranks)
+
+
 def load_representation(path, L: Lattice) -> Representation:
-    """The representation in the file at path; a key other than its three
-    fields is refused once they are read, and more than MAX_ELEMENTS
-    outcomes, by Representation, with TooLarge naming the path."""
-    d = load_json(path)
-    try:
-        count = _ints(d["outcomes"], "outcomes")
-        sets = _ints(_sigma_rows(_object(d["sigma"], "sigma"), L.n), "sigma", 2)
-        ranks = _ints(d["outcome_ranks"], "outcome_ranks", 1)
-        _refuse_unknown_key(d, ("outcomes", "sigma", "outcome_ranks"))
-        return Representation(count, sets, ranks)
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{path}: bad representation file: {_reason(e)}") from e
-    except TooLarge as e:
-        raise TooLarge(f"{path}: {e}") from e
+    """The representation in the file at path, over L; a key other than its
+    three fields is refused once they are read, and more than MAX_ELEMENTS
+    outcomes, by Representation, with TooLarge."""
+    return _from_file(path, "representation", _representation, load_json(path), L.n)
 
 
 def spectrum_to_dict(S: SpectralSpace) -> dict:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import LawViolation, PosetCyclic, TooLarge
+from .errors import LawViolation, PosetCyclic, TooLarge, quote
 
 # Entries per block of the O(n^3) table scans: every n up to 101 is one block.
 BLOCK_ELEMENTS = 1 << 20
@@ -66,7 +66,7 @@ class Poset:
         object.__setattr__(self, "covers", tuple(tuple(map(int, c)) for c in self.covers))
         for cover in self.covers:
             if len(cover) != 2:
-                raise ValueError(f"covers: {list(cover)} is not a pair")
+                raise ValueError(f"covers: {quote(str(list(cover)))} is not a pair")
             a, b = cover
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"cover ({a},{b}) out of range for n={self.n}")

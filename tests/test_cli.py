@@ -3,6 +3,7 @@ import logging
 import os
 import pathlib
 import random
+import re
 import resource
 import stat
 import subprocess
@@ -63,6 +64,24 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+# The files each verb reads, by flag.
+VERB_FLAGS = {"validate": ("lattice",), "spectrum": ("lattice",),
+              "axioms": ("lattice", "pref"), "dualize": ("lattice", "pref"),
+              "represent": ("lattice", "pref"),
+              "verify": ("lattice", "pref", "rep"), "factor": ("lattice", "pref", "rep")}
+# A verb that reads each kind of file, and the name its refusals give it.
+READER = {"lattice": ("validate", "lattice"), "pref": ("axioms", "preference"),
+          "rep": ("verify", "representation")}
+
+
+def reader_argv(kind, path, lattice_file, pref_file) -> list:
+    """The argv of READER's verb for kind, with path as its kind file and
+    lattice_file and pref_file as the others."""
+    files = {"lattice": lattice_file, "pref": pref_file, kind: str(path)}
+    verb = READER[kind][0]
+    return [verb] + [f"--{flag}={files[flag]}" for flag in VERB_FLAGS[verb]]
 
 
 class TestValidate:
@@ -630,7 +649,7 @@ class TestInputErrors:
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({**lattice_to_dict(CHAIN3), "labels": labels}))
         assert main([verb, "--lattice", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: labels: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: bad lattice file: labels: {message}\n"
 
     @pytest.mark.parametrize("labels", [None, ["0", "1/2", "1"], "absent"])
     def test_good_labels(self, tmp_path, capsys, labels):
@@ -710,55 +729,50 @@ class TestInputErrors:
         path = tmp_path / "antichain1500.json"
         path.write_text(json.dumps({"poset": {"n": 1500, "covers": []}}))
         assert main(["spectrum", "--lattice", str(path)]) == 2
-        assert capsys.readouterr().err == "error: posets capped at 16 elements, got 1500\n"
+        assert capsys.readouterr().err == f"error: {path}: posets capped at 16 elements, got 1500\n"
 
-    RAGGED = "bad lattice tables: meet and join must be square tables of equal size"
+    RAGGED = "meet and join must be square tables of equal size"
     TABLES3 = {"bottom": 0, "top": 2, "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
                "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]]}
 
     @pytest.mark.parametrize("kind, value, message", [
-        ("lattice", {"poset": [1, 2]}, "bad poset block: poset: expected a JSON object"),
-        ("lattice", {"poset": {"n": -1, "covers": []}}, "bad poset block: n: -1 is negative"),
+        ("lattice", {"poset": [1, 2]}, "poset: expected a JSON object"),
+        ("lattice", {"poset": {"n": -1, "covers": []}}, "n: -1 is negative"),
         ("lattice", {"meet": [[0, 0], [0]], "join": [[0, 1], [1, 1]], "bottom": 0, "top": 1},
          RAGGED),
         ("lattice", {"meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1, 1]], "bottom": 0,
                      "top": 1}, RAGGED),
         ("rep", {"outcomes": 2, "sigma": [[], [1], [0, 1]], "outcome_ranks": [1, 0]},
-         "bad representation file: sigma: expected a JSON object"),
+         "sigma: expected a JSON object"),
         ("rep", {"outcomes": 2, "sigma": "012", "outcome_ranks": [1, 0]},
-         "bad representation file: sigma: expected a JSON object"),
-        ("lattice", {"poset": {"n": 3, "covers": [[0, 1, 2]]}},
-         "bad poset block: covers: [0, 1, 2] is not a pair"),
-        ("lattice", {"poset": {"n": 3, "covers": [[0]]}}, "bad poset block: covers: [0] is not a pair"),
-        ("lattice", {"poset": {"n": 2}}, "bad poset block: missing field 'covers'"),
+         "sigma: expected a JSON object"),
+        ("lattice", {"poset": {"n": 3, "covers": [[0, 1, 2]]}}, "covers: [0, 1, 2] is not a pair"),
+        ("lattice", {"poset": {"n": 3, "covers": [[0]]}}, "covers: [0] is not a pair"),
+        ("lattice", {"poset": {"n": 2}}, "missing field 'covers'"),
         ("rep", {"outcomes": 2, "sigma": {"0": [], "1": [1]}, "outcome_ranks": [1, 0]},
-         "bad representation file: sigma: no entry for element 2"),
+         "sigma: no entry for element 2"),
         ("rep", {"outcomes": 1, "sigma": {"0": [], "1": [0], "2": [0], "7": [0], "x": 5},
                  "outcome_ranks": [0]},
-         'bad representation file: sigma: key "7" is not an element 0..2'),
+         'sigma: key "7" is not an element 0..2'),
         ("rep", {"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]}},
-         "bad representation file: missing field 'outcome_ranks'"),
-        ("lattice", {**TABLES3, "n": 7}, "bad lattice tables: n: 7 is not the table size 3"),
-        ("lattice", {**TABLES3, "n": "3"}, 'bad lattice tables: n: "3" is not the table size 3'),
+         "missing field 'outcome_ranks'"),
+        ("lattice", {**TABLES3, "n": 7}, "n: 7 is not the table size 3"),
+        ("lattice", {**TABLES3, "n": "3"}, 'n: "3" is not the table size 3'),
         ("lattice", {"poset": {"n": 2, "covers": []}, "meet": [[0]], "join": [[0]]},
-         'lattice file: key "meet" is not a field of the poset form ("poset")'),
+         'key "meet" is not a field (poset)'),
         ("lattice", {"bottom": 0, "poset": {"n": 2, "covers": []}},
-         'lattice file: key "bottom" is not a field of the poset form ("poset")'),
+         'key "bottom" is not a field (poset)'),
         ("lattice", {**TABLES3, "comment": "x", "covers": []},
-         'lattice file: key "comment" is not a field of the table form'
-         ' (n, meet, join, bottom, top, labels)'),
+         'key "comment" is not a field (n, meet, join, bottom, top, labels)'),
         ("lattice", {"poset": {"n": 2, "cover": [], "covers": []}},
-         'bad poset block: key "cover" is not a field (n, covers)'),
-        ("pref", {"ranks": [0, 1, 2], "rank": [9]},
-         'bad preference file: key "rank" is not a field (ranks)'),
+         'key "cover" is not a field (n, covers)'),
+        ("pref", {"ranks": [0, 1, 2], "rank": [9]}, 'key "rank" is not a field (ranks)'),
         ("rep", {"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]},
                  "outcome_ranks": [1, 0], "extra": 1},
-         'bad representation file: key "extra" is not a field'
-         ' (outcomes, sigma, outcome_ranks)'),
+         'key "extra" is not a field (outcomes, sigma, outcome_ranks)'),
         ("rep", {"comment": "x", "outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]},
                  "outcome_ranks": [1, 0], "extra": 1},
-         'bad representation file: key "comment" is not a field'
-         ' (outcomes, sigma, outcome_ranks)'),
+         'key "comment" is not a field (outcomes, sigma, outcome_ranks)'),
     ], ids=["poset-list", "poset-negative-n", "ragged-meet", "ragged-join", "sigma-list",
             "sigma-string", "cover-triple", "cover-single", "poset-no-covers", "sigma-no-entry",
             "sigma-extra-keys", "rep-no-ranks", "table-n-mismatch", "table-n-string",
@@ -767,19 +781,14 @@ class TestInputErrors:
             "rep-unknown-keys-first-named"])
     def test_refusal_names_the_field(self, chain3_file, w3_file, tmp_path, capsys, kind, value,
                                      message):
+        """Every refusal of a file's content starts with its path and the
+        kind of file, whichever file it is."""
         path = tmp_path / "input.json"
         path.write_text(json.dumps(value))
-        if kind == "lattice":
-            args = ["validate", "--lattice", str(path)]
-        elif kind == "pref":
-            args = ["axioms", "--lattice", chain3_file, "--pref", str(path)]
-            message = f"{path}: {message}"
-        else:
-            args = ["verify", "--lattice", chain3_file, "--pref", w3_file, "--rep", str(path)]
-            message = f"{path}: {message}"
-        assert main(args) == 2
+        assert main(reader_argv(kind, path, chain3_file, w3_file)) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: bad {READER[kind][1]} file: {message}\n"
 
     @pytest.mark.parametrize("kind", ["lattice", "pref", "rep"])
     def test_non_utf8_file_refused(self, chain3_file, w3_file, tmp_path, capsys, kind):
@@ -835,6 +844,200 @@ class TestInputErrors:
         assert main(args + [f"--{k}={v}" for k, v in files.items()]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {path}: {reason}")
+
+
+class TestBoundedQuotes:
+    """A refusal quotes a bounded piece of the value or key it names, so a
+    huge one gives one short line, not the value echoed whole."""
+
+    BIG_LIST = list(range(200_000))
+    BIG_KEY = "k" * 1_000_000
+
+    @pytest.mark.parametrize("kind, doc, named", [
+        ("pref", {"ranks": [BIG_LIST, 0, 0]}, "ranks: "),
+        ("lattice", {**TestInputErrors.TABLES3, "labels": {BIG_KEY: 1}}, "labels: "),
+        ("lattice", {**TestInputErrors.TABLES3, "n": BIG_LIST}, "n: "),
+        ("lattice", {**TestInputErrors.TABLES3, BIG_KEY: 1}, 'key "kkk'),
+        ("lattice", {"poset": {"n": 3, "covers": [BIG_LIST]}}, "covers: "),
+        ("rep", {"outcomes": 1, "sigma": {"0": [], "1": [0], "2": [0], BIG_KEY: []},
+                 "outcome_ranks": [0]}, 'sigma: key "kkk'),
+        ("pref", f'{{"{BIG_KEY}": 1, "{BIG_KEY}": 2}}', 'key "kkk'),
+    ], ids=["ranks-entry", "labels-key", "n-list", "unknown-key", "cover", "sigma-key",
+            "repeated-key"])
+    def test_one_short_line(self, chain3_file, w3_file, tmp_path, capsys, kind, doc, named):
+        path = tmp_path / "big.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(reader_argv(kind, path, chain3_file, w3_file)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 300
+        assert captured.err.startswith(f"error: {path}: ") and named in captured.err
+        assert "…" in captured.err
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _objects(doc, path=()):
+    """The paths (keys from the top) of every JSON object in doc; the files
+    nest objects only directly in objects."""
+    if isinstance(doc, dict):
+        yield path
+        for key, value in doc.items():
+            yield from _objects(value, path + (key,))
+
+
+def _random_slot(rng, doc) -> tuple:
+    """The path of a random value in doc: a random child at each level,
+    stopping at a leaf, an empty container, or with chance 1/2."""
+    path, node = (), doc
+    while isinstance(node, (dict, list)) and node:
+        key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+        path, node = path + (key,), node[key]
+        if rng.random() < 0.5:
+            break
+    return path
+
+
+def _tables(doc) -> list:
+    """The lists of rows in doc: meet, join or covers, sigma's rows as one
+    table, or [ranks] for a preference file.  Only the first three are
+    lists of the file itself, so only they can be transposed."""
+    if "sigma" in doc and isinstance(doc["sigma"], dict):
+        return [list(doc["sigma"].values())]
+    block = doc.get("poset", doc)
+    found = [block[k] for k in ("meet", "join", "covers") if isinstance(block.get(k), list)]
+    return found or [[doc["ranks"]]]
+
+
+class TestExitCodeContract:
+    """Mutation fuzzing of the golden pipeline's files: on each input with
+    one mutation, every verb exits 0, 1 or 2 through cli.main with no
+    exception escaping.  Exit 2 writes no report and one stderr line that
+    starts with the path of a file on its command line; exit 1 writes a
+    report whose verdict is false; and a repeat gives the same bytes.  (A
+    JSON syntax error puts its line and column after the path.)  The
+    only exit-2 lines without a path are refusals of the checks themselves,
+    after every file has loaded: factor's axiom violations and alleged
+    representations, and the violation listing cap."""
+
+    DRAWS = 40  # per mutation class
+    CLASSES = ("drop-key", "add-key", "repeat-key", "retype", "table", "truncate", "non-utf8",
+               "bom", "swap")
+    VERDICT = {"validate": "valid", "axioms": "satisfied", "dualize": "agreement",
+               "verify": "verified", "factor": "factored"}
+    AFTER_LOADING = ("error: axiom violations (", "error: sigma_map is not a bounded-lattice hom\n",
+                     "error: representation does not reproduce W\n",
+                     "error: factoring hom is not surjective\n")
+    RETYPES = (0.5, True, "1", None, [], {}, 1 << 62, "RAW:" + "9" * 5000,
+               "RAW:" + "[" * 100_000 + "]" * 100_000, "RAW:" + "[" * 50 + "0" + "]" * 50)
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return [{"lattice": lattice, "pref": {"ranks": ranks}, "rep": rep}
+                for _, lattice, ranks, rep in pipeline_inputs()]
+
+    @staticmethod
+    def dumps(doc, path, value) -> bytes:
+        """doc, with value put at path (for an empty path, in its place), as
+        JSON; a value "RAW:text" is written as the text, which need not be
+        JSON."""
+        raw = isinstance(value, str) and value.startswith("RAW:")
+        if not path:
+            return (value[4:] if raw else json.dumps(value)).encode()
+        _at(doc, path[:-1])[path[-1]] = value
+        text = json.dumps(doc)
+        return (text.replace(json.dumps(value), value[4:]) if raw else text).encode()
+
+    def mutate(self, rng, kind, docs) -> dict:
+        """The files' bytes, per kind, with one mutation of the given kind."""
+        files = {k: json.dumps(doc).encode() for k, doc in docs.items()}
+        target = rng.choice(sorted(files))
+        doc = json.loads(files[target])
+        if kind in ("drop-key", "add-key", "repeat-key"):
+            path = rng.choice([p for p in _objects(doc) if _at(doc, p) or kind == "add-key"])
+            obj = dict(_at(doc, path))
+            if kind == "drop-key":
+                del obj[rng.choice(list(obj))]
+            elif kind == "add-key":
+                key = rng.choice(["extra", "", "poset", "meet", "n", "ranks", "labels", "sigma",
+                                  "outcomes", "3", "-1"])
+                obj[key] = rng.choice([0, [], {}, "x", None, [[0]]])
+            else:
+                key = rng.choice(list(obj))
+                value = json.dumps(obj[key])
+                obj = "RAW:{" + json.dumps(key) + ": " + value + ", " + json.dumps(obj)[1:]
+            files[target] = self.dumps(doc, path, obj)
+        elif kind == "retype":
+            files[target] = self.dumps(doc, _random_slot(rng, doc), rng.choice(self.RETYPES))
+        elif kind == "table":
+            rows = rng.choice(_tables(doc))
+            how = rng.choice(["ragged", "transposed", "out-of-range"])
+            if how == "transposed" and rows and len({len(r) for r in rows}) == 1:
+                rows[:] = [list(col) for col in zip(*rows)]
+            elif how == "out-of-range" and any(rows):
+                row = rng.choice([r for r in rows if r])
+                row[rng.randrange(len(row))] = rng.choice([-1, len(rows), len(rows) + 7, 1 << 62])
+            elif rows:
+                row = rng.choice(rows)
+                if row and rng.random() < 0.5:
+                    row.pop()
+                else:
+                    row.append(0)
+            files[target] = json.dumps(doc).encode()
+        elif kind == "truncate":
+            files[target] = files[target][:rng.randrange(len(files[target]))]
+        elif kind == "non-utf8":
+            at = rng.randrange(len(files[target]) + 1)
+            bad = rng.choice([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])
+            files[target] = files[target][:at] + bad + files[target][at:]
+        elif kind == "bom":
+            files[target] = b"\xef\xbb\xbf" + files[target]
+        return files
+
+    def check(self, verb, given, capsys):
+        """Run verb twice on the files given per flag, and check the
+        contract on what it writes."""
+        flags = VERB_FLAGS[verb]
+        argv = [verb] + [f"--{flag}={given[flag]}" for flag in flags]
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1], argv
+        code, out, err = runs[0]
+        if code == 2:
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            named = any(re.match(rf"error: {re.escape(given[flag])}(:\d+:\d+)?: ", err)
+                        for flag in flags)
+            checked = (verb == "factor" and err.startswith(self.AFTER_LOADING)
+                       or "over the listing cap of" in err)
+            assert named or checked, (argv, err)
+        else:
+            assert err == "" and code in (0, 1), (argv, code, err)
+            report = json.loads(out)
+            if code == 1 and verb == "represent":
+                assert report["error"] == "axiom-violation", (argv, report)
+            elif code == 1:
+                assert report[self.VERDICT[verb]] is False, (argv, report)
+
+    def test_every_verb_keeps_the_contract(self, inputs, tmp_path, capsys):
+        paths = {k: str(tmp_path / f"{k}.json") for k in ("lattice", "pref", "rep")}
+        for kind in self.CLASSES:
+            rng = random.Random(f"exit-codes-{kind}")
+            for _ in range(self.DRAWS):
+                files = self.mutate(rng, kind, rng.choice(inputs))
+                for k, data in files.items():
+                    pathlib.Path(paths[k]).write_bytes(data)
+                given = dict(paths)
+                if kind == "swap":
+                    a, b = rng.sample(sorted(paths), 2)
+                    given[a], given[b] = paths[b], paths[a]
+                for verb in VERB_FLAGS:
+                    self.check(verb, given, capsys)
 
 
 class TestRepresentationCap:
@@ -970,7 +1173,7 @@ class TestLatticeMemo:
     # The 3-chain with join(1, 2) = 1: lawless at witness (1, 2).
     LAWLESS = {"bottom": 0, "top": 2, "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
                "join": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]}
-    LAW_ERROR = "error: join-commutativity violated at witness (1, 2)\n"
+    LAW_ERROR = "error: {}: join-commutativity violated at witness (1, 2)\n"
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -1040,7 +1243,7 @@ class TestLatticeMemo:
         for argv in (["spectrum"], ["spectrum"], ["axioms", "--pref", w3_file]):
             assert main([*argv, "--lattice", str(path)]) == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and captured.err == self.LAW_ERROR
+            assert captured.out == "" and captured.err == self.LAW_ERROR.format(path)
         assert parses == [str(path)] and len(scans) == 4
 
     def test_law_check_before_size_check_on_every_load(self, tmp_path, capsys, parses):
@@ -1052,10 +1255,10 @@ class TestLatticeMemo:
         for _ in range(2):
             assert main(["validate", "--lattice", str(path)]) == 2
             assert capsys.readouterr().err == (
-                "error: bad lattice tables: n: 7 is not the table size 3\n"
+                f"error: {path}: bad lattice file: n: 7 is not the table size 3\n"
             )
             assert main(["spectrum", "--lattice", str(path)]) == 2
-            assert capsys.readouterr().err == self.LAW_ERROR
+            assert capsys.readouterr().err == self.LAW_ERROR.format(path)
         assert parses == [str(path)] * 4
 
 
@@ -1117,8 +1320,9 @@ class TestIntegerRange:
 
 
 class TestInternalError:
-    """The lattimin program exits 3 with one line for a fault of its own;
-    main lets the exception through to an in-process caller."""
+    """The lattimin program exits 3 with one line for a fault of its own,
+    and 4 with one line when it runs out of memory; main lets the exception
+    through to an in-process caller."""
 
     @pytest.fixture
     def failing_validate(self, monkeypatch):
@@ -1144,9 +1348,28 @@ class TestInternalError:
             raise MemoryError
 
         monkeypatch.setattr(cli, "validate_laws", fail)
-        with pytest.raises(MemoryError):
+        with pytest.raises(SystemExit) as exit_:
             cli.entrypoint(["validate", "--lattice", chain3_file])
-        assert "internal error" not in capsys.readouterr().err
+        assert exit_.value.code == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "out of memory\n"
+
+    def test_program_out_of_memory_exits_4_with_one_line(self, tmp_path):
+        """B12's down-set tables (4096 x 4096) do not fit in a child capped
+        at the 256 MiB address space of a ladder rung."""
+        path = tmp_path / "b12.json"
+        path.write_text(json.dumps({"poset": {"n": 12, "covers": []}}))
+        cap = 256 << 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(pathlib.Path(lattimin.__file__).parents[1]))
+        env.pop("LM_LOG", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "lattimin.cli", "spectrum", "--lattice", str(path)], env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 4 and done.stdout == ""
+        assert done.stderr.startswith("out of memory: ") and done.stderr.count("\n") == 1
 
     def test_program_passes_main_codes_through(self, chain3_file, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -151,3 +151,23 @@ def test_ints_range_is_open_at_two_to_62(v):
     for read in (lambda t: _ints(t, "t", 2), lambda t: _table(t, "t")):
         with pytest.raises(ValueError, match=f"t: {v} is outside the integer range"):
             read([[0], [v]])
+
+
+TABLES3 = {"bottom": 0, "top": 2, "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+           "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]]}
+
+
+@pytest.mark.parametrize("d, error, message", [
+    ({"poset": {"n": 2}}, KeyError, "'covers'"),
+    ({"meet": [[0]], "join": [[0]], "bottom": 0}, KeyError, "'top'"),
+    ({**TABLES3, "labels": 7}, TypeError, "labels: expected a list of strings or null, got 7"),
+    ({**TABLES3, "n": 4}, ValueError, "n: 4 is not the table size 3"),
+    ({"poset": {"n": 3, "covers": [[0, 1, 2]]}}, ValueError, "covers: [0, 1, 2] is not a pair"),
+    ({"poset": {"n": 2, "covers": []}, "meet": []}, ValueError,
+     'key "meet" is not a field (poset)'),
+])
+def test_lattice_from_dict_raises_naming_the_field(d, error, message):
+    """lattice_from_dict names the field, and leaves the path to the loaders."""
+    with pytest.raises(error) as raised:
+        lattice_from_dict(d)
+    assert str(raised.value) == message
