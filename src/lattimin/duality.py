@@ -50,11 +50,8 @@ def dual_backward(L: Lattice, S: SpectralSpace, V: WeakOrder) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class DualityCertificate:
-    lattice: Lattice
     spectrum: SpectralSpace
-    weak_order: WeakOrder
     forward: WeakOrder
-    roundtrip: dict  # element -> dense rank on the lattice minus bottom
     agreement: bool
     counterexample: Optional[tuple[int, int]]
 
@@ -69,9 +66,7 @@ def roundtrip_check(L: Lattice, W: WeakOrder) -> DualityCertificate:
     fwd = dual_forward(L, S, W)
     back = dual_backward(L, S, fwd)
     counterexample = first_disagreement(W.ranks, back, nonzero_elements(L))
-    return DualityCertificate(
-        L, S, W, fwd, back, counterexample is None, counterexample
-    )
+    return DualityCertificate(S, fwd, counterexample is None, counterexample)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,9 @@ class LattiminError(Exception):
 class LawViolation(LattiminError):
     """A lattice law failed; carries the law name and a minimal witness."""
 
-    def __init__(self, law, witness, issues=None):
+    def __init__(self, law, witness):
         self.law = law
         self.witness = tuple(witness)
-        self.issues = issues or []
         super().__init__(f"{law} violated at witness {self.witness}")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -147,10 +147,11 @@ class Lattice:
         return leq
 
     @cached_property
-    def birkhoff(self) -> Optional[np.ndarray]:
-        """J(L) as ascending indices iff every law validate_laws checks
-        holds, else None; decided by Birkhoff's representation instead of a
-        scan of all triples.
+    def birkhoff(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(J, U) iff every law validate_laws checks holds, else None: J(L)
+        as ascending indices and the read-only up-set matrix U, row i the
+        up-set of J[i], which the spectrum and synthesis read.  Decided by
+        Birkhoff's representation instead of a scan of all triples.
 
         The bound laws are checked directly.  The candidates S are the
         non-bottom elements that no pair (a, b) gives as a | b outside {a, b},
@@ -170,13 +171,15 @@ class Lattice:
         joined = np.zeros(n, dtype=bool)  # c == a | b with c not in {a, b}
         joined[J[(J != idx[:, None]) & (J != idx[None, :])]] = True
         S = np.flatnonzero(~joined & (idx != self.bottom))
-        P = np.ascontiguousarray(np.packbits(M[S] == S[:, None], axis=0).T)
+        U = M[S] == S[:, None]  # U[i, a] iff S[i] <= a
+        P = np.ascontiguousarray(np.packbits(U, axis=0).T)
         if len(row_classes(P)[1]) < n:
             return None
         if not _is_set_hom(self, P):
             return None
         S.setflags(write=False)  # shared by every caller
-        return S
+        U.setflags(write=False)
+        return S, U
 
     @cached_property
     def spectrum(self):
@@ -185,7 +188,7 @@ class Lattice:
         LawViolation if the tables are not a distributive lattice."""
         from .spectrum import SpectralSpace  # spectrum imports this module
 
-        return SpectralSpace(self.leq_table[_certify(self)])  # row i: the up-set of J[i]
+        return SpectralSpace(_certify(self)[1])
 
 
 def _row_blocks(n: int, width: Optional[int] = None):
@@ -204,15 +207,16 @@ def validate_laws(L: Lattice) -> list[LawIssue]:
     exactly the lawful tables in O(n^2 |J|) time; only a table it rejects
     goes through _scan_laws, the O(n^3) scan that finds the witnesses.
     """
-    return [] if L.birkhoff is not None else _scan_laws(L)
+    return [] if L.birkhoff is not None else list(_scan_laws(L))
 
 
-def _certify(L: Lattice) -> np.ndarray:
-    """J(L) of a lawful L; LawViolation naming the first broken law and its
-    witness otherwise."""
-    issues = validate_laws(L)
-    if issues:
-        raise LawViolation(issues[0].law, issues[0].witness, issues)
+def _certify(L: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """L.birkhoff, (J(L), its up-set matrix), of a lawful L; LawViolation
+    naming the first broken law and its witness otherwise, found by a scan
+    that stops there."""
+    if L.birkhoff is None:
+        issue = next(_scan_laws(L))
+        raise LawViolation(issue.law, issue.witness)
     return L.birkhoff
 
 
@@ -229,10 +233,10 @@ def _is_set_hom(L: Lattice, P: np.ndarray) -> bool:
     return True
 
 
-def _scan_laws(L: Lattice) -> list[LawIssue]:
-    """Scan all pairs/triples for lattice-law violations, each law over
-    blocks of its first index, so memory stays O(BLOCK_ELEMENTS) however
-    large n is."""
+def _scan_laws(L: Lattice) -> Iterator[LawIssue]:
+    """Yield each lattice-law violation as the scan of all pairs/triples
+    finds it, each law over blocks of its first index, so memory stays
+    O(BLOCK_ELEMENTS) however large n is."""
     M, J = L.meet, L.join
     idx = np.arange(L.n)
     # law -> bad(s): where the law fails, first index restricted to slice s.
@@ -253,16 +257,14 @@ def _scan_laws(L: Lattice) -> list[LawIssue]:
         "bottom-bound": lambda s: M[L.bottom, s] != L.bottom,
         "top-bound": lambda s: J[L.top, s] != L.top,
     }
-    issues: list[LawIssue] = []
     for law, bad in laws.items():
         for s in _row_blocks(L.n):
             where = np.argwhere(bad(s))
             if where.size:
                 first = [int(v) for v in where[0]]
                 first[0] += s.start
-                issues.append(LawIssue(law, tuple(first)))
+                yield LawIssue(law, tuple(first))
                 break
-    return issues
 
 
 def build_lattice(meet_table, join_table, bottom, top, labels=None) -> Lattice:

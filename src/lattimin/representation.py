@@ -119,8 +119,8 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     v2 = check_axiom2(L, W)
     if v1 or v2:
         raise AxiomViolation({"axiom1": v1, "axiom2": v2})
-    J, r = _certify(L), np.asarray(W.ranks)
-    up = L.leq_table[J]  # row i: ↑J[i]
+    J, up = _certify(L)  # row i of up: ↑J[i]
+    r = np.asarray(W.ranks)
     h = up.sum(0)  # h[a] = |{j in J(L) : j <= a}|
     b = L.join[:, J]  # b[a, i] = a | J[i], which covers a iff h[b] == h[a] + 1
     keep = ((h[b] == h[:, None] + 1) & (r[b] != r[:, None])).any(0)

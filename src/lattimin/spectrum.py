@@ -14,8 +14,8 @@ from .lattice import Lattice, _is_set_hom, row_classes, row_sets, size_mask_orde
 class SpectralSpace:
     """Prime filters of a lattice as one read-only boolean matrix: member[i, a]
     iff point i contains element a, its rows put in canonical order here,
-    ascending bitmask of its elements.  Column a is sigma(a); the frozensets
-    are views built on use."""
+    ascending bitmask of its elements.  Column a is sigma(a), the points
+    containing a; points and basis are frozenset views built on use."""
 
     member: np.ndarray
 
@@ -27,14 +27,6 @@ class SpectralSpace:
     @cached_property
     def points(self) -> tuple:
         return row_sets(self.member)
-
-    @cached_property
-    def sigma_table(self) -> tuple:
-        return row_sets(self.member.T)
-
-    def sigma(self, a: int) -> frozenset:
-        """The set of points (prime-filter indices) whose filter contains a."""
-        return self.sigma_table[a]
 
     @cached_property
     def basis(self) -> tuple:

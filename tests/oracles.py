@@ -15,7 +15,7 @@ import numpy as np
 
 from lattimin.duality import dual_forward
 from lattimin.errors import LattiminError, TooLarge
-from lattimin.lattice import Lattice, LatticeHom, Poset, build_lattice
+from lattimin.lattice import Lattice, LatticeHom, Poset, build_lattice, row_sets
 from lattimin.preference import WeakOrder, axioms12_hold, dense_ranks
 from lattimin.representation import Representation
 from lattimin.spectrum import SpectralSpace, enumerate_prime_filters
@@ -158,7 +158,7 @@ def powerset_hom_by_loop(L: Lattice, images, size: int) -> bool:
 def check_sigma_isomorphism(L: Lattice, S: SpectralSpace) -> bool:
     """True iff sigma is injective on L and a bounded hom into the powerset
     of the points."""
-    sigma = S.sigma_table
+    sigma = row_sets(S.member.T)
     return len(set(sigma)) == L.n and powerset_hom_by_loop(L, sigma, len(S.points))
 
 

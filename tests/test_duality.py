@@ -9,6 +9,7 @@ from lattimin import (
     duality_equivalence_report,
 )
 from lattimin.duality import nonzero_elements
+from lattimin.lattice import row_sets
 from lattimin.testkit import (
     derived_weak_order,
     random_distributive_lattice,
@@ -127,7 +128,7 @@ class TestDualityEquivalence:
             V = WeakOrder(tuple((i * 7 + seed) % 3 for i in range(len(S.points))))
             back = dual_backward(L, S, V)
             nz = nonzero_elements(L)
-            rel = literal_dominance([S.sigma(a) for a in nz], V.ranks)
+            rel = literal_dominance(row_sets(S.member.T[nz]), V.ranks)
             for i, a in enumerate(nz):
                 for j, b in enumerate(nz):
                     assert rel[i][j] == (back[a] <= back[b])

@@ -141,13 +141,22 @@ class TestBirkhoffCertificate:
 
     @staticmethod
     def verdicts(L):
-        return L.birkhoff is not None, _scan_laws(L) == []
+        return L.birkhoff is not None, list(_scan_laws(L)) == []
+
+    @staticmethod
+    def check_form(L, label=None):
+        """L.birkhoff is (J(L) ascending, its read-only up-set matrix), row i
+        [[J[i] <= a]] by the loop oracle."""
+        J, U = L.birkhoff
+        ji = sorted(join_irreducibles(L))
+        assert J.tolist() == ji, label
+        assert U.tolist() == [[int(L.meet[j, a]) == j for a in range(L.n)] for j in ji], label
+        assert not J.flags.writeable and not U.flags.writeable, label
 
     def test_fixtures_and_random_downset_lattices(self):
         for L in self.LAWFUL:
             assert self.verdicts(L) == (True, True)
-            assert set(L.birkhoff) == join_irreducibles(L)
-            assert list(L.birkhoff) == sorted(L.birkhoff)
+            self.check_form(L)
         for L in [M3, N5]:
             assert self.verdicts(L) == (False, False)
 
@@ -158,7 +167,7 @@ class TestBirkhoffCertificate:
             certified, lawful = self.verdicts(L)
             assert certified == lawful, seed
             if certified:
-                assert set(L.birkhoff) == join_irreducibles(L), seed
+                self.check_form(L, seed)
             seen.add(certified)
         assert seen == {True, False}
 
@@ -170,7 +179,7 @@ class TestBirkhoffCertificate:
             certified, lawful = self.verdicts(L)
             assert certified == lawful, entries
             if certified:
-                assert set(L.birkhoff) == join_irreducibles(L), entries
+                self.check_form(L, entries)
 
     def test_only_a_bound_broken(self):
         for L in self.LAWFUL:
@@ -192,11 +201,30 @@ class TestBirkhoffCertificate:
             assert validate_laws(L) == []
         assert scanned == []
         broken = [M3, N5, with_bounds(B2, B2_A, B2.top)]
-        broken += [L for L in map(random_tables, range(100)) if scan(L)]
+        broken += [L for L in map(random_tables, range(100)) if list(scan(L))]
         for L in broken:
-            assert validate_laws(L) == scan(L) != []
+            assert validate_laws(L) == list(scan(L)) != []
             assert scanned[-1] is L
         assert len(scanned) == len(broken)
+
+    def test_certify_stops_at_the_first_issue(self, monkeypatch):
+        """_certify refuses a table with the first broken law of the scan and
+        scans no later law: one _row_blocks call per law scanned."""
+        meet = CHAIN3.meet.copy()
+        meet[1, 2] = 2  # breaks meet-commutativity, the first law, and more
+        T = Lattice(meet, CHAIN3.join, CHAIN3.bottom, CHAIN3.top)
+        first, *later = validate_laws(T)
+        assert first.law == "meet-commutativity" and later
+        assert T.birkhoff is None
+        scanned = []
+        row_blocks = lattice_module._row_blocks
+        monkeypatch.setattr(
+            lattice_module, "_row_blocks", lambda n: scanned.append(n) or row_blocks(n)
+        )
+        with pytest.raises(LawViolation) as ei:
+            lattice_module._certify(T)
+        assert (ei.value.law, ei.value.witness) == (first.law, first.witness)
+        assert scanned == [T.n]
 
 
 class TestRelativeComplement:

@@ -138,20 +138,24 @@ class TestShippedCode:
         for path in self.PACKAGE.glob("*.py"):
             assert not moved & self.defined(path), path.name
 
-    def uses(self, attr):
-        """(module, innermost enclosing function) of every attribute attr
-        read under the package; the function is None at module level."""
+    def where(self, match):
+        """(module, innermost enclosing function) of every node under the
+        package that match accepts; the function is None at module level."""
         found = set()
 
         def visit(node, path, fn):
             for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.Attribute) and child.attr == attr:
+                if match(child):
                     found.add((path.name, fn))
                 visit(child, path, child.name if isinstance(child, ast.FunctionDef) else fn)
 
         for path in self.PACKAGE.glob("*.py"):
             visit(ast.parse(path.read_text()), path, None)
         return found
+
+    def uses(self, attr):
+        """where() of every read of the attribute attr."""
+        return self.where(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
     def test_one_row_class_step(self):
         """Classes of equal rows come from lattice.row_classes alone: rows are
@@ -163,6 +167,24 @@ class TestShippedCode:
             assert "Counter" not in path.read_text(), path.name
         assert self.uses("tobytes") == {("lattice.py", "row_classes")}
         assert self.uses("unique") == set()
+
+    @staticmethod
+    def is_column(node):
+        """node is x[:, None], a column of x."""
+        return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                and [type(e) for e in node.slice.elts] == [ast.Slice, ast.Constant]
+                and node.slice.elts[1].value is None)
+
+    def test_one_birkhoff_matrix(self):
+        """The up-set matrix of J(L), a meet-table lookup compared with a
+        column of its own indices, is built only by Lattice.birkhoff; the
+        spectrum and synthesis read it there, and only axiom 1 reads the
+        order table."""
+        assert self.uses("leq_table") == {("preference.py", "_axiom1_pairs")}
+        assert self.where(
+            lambda node: isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq)
+            and isinstance(node.left, ast.Subscript) and self.is_column(node.comparators[0])
+        ) == {("lattice.py", "birkhoff")}
 
     # Each construction that no command runs, and that left the package, ->
     # its one definition under tests/; None for check_representation_hom,
