@@ -76,25 +76,39 @@ def _dumps(value, pad="\n") -> str:
         fields = (inner + encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items()))
         return "{" + ",".join(fields) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
-        if all(type(v) is int for v in value):
+        if set(map(type, value)) == {int}:
             return "[" + inner + ("," + inner).join(map(str, value)) + pad + "]"
         return "[" + ",".join(inner + _dumps(v, inner) for v in value) + pad + "]"
     return json.dumps(value)
 
 
+def _write_all(fd, data):
+    """os.write until data is written whole: one write may take less."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
 def _emit(report, out_path):
-    text = _dumps(report) + "\n"
-    if out_path:
-        # Written over the old bytes, then cut to length: open(path, "w")
-        # truncates to zero first, and ext4 (auto_da_alloc) then flushes the
-        # file on close, which stalls the next overwrite of the same path.
-        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w") as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
-                fh.truncate()
-    else:
-        sys.stdout.write(text)
+    """The report and a newline, to the file out_path, or to stdout if it is
+    None.  The newline is written on its own, so a large report is held
+    once as text and once as bytes, never copied to append it."""
+    if out_path is None:
+        sys.stdout.write(_dumps(report))
+        sys.stdout.write("\n")
+        return
+    data = _dumps(report).encode()
+    # Written over the old bytes, then cut to length: opening with O_TRUNC
+    # cuts to zero first, and ext4 (auto_da_alloc) then flushes the file on
+    # close, which stalls the next overwrite of the same path.
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        _write_all(fd, data)
+        _write_all(fd, b"\n")
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
+            os.ftruncate(fd, len(data) + 1)
+    finally:
+        os.close(fd)
 
 
 def cmd_validate(args):
@@ -226,16 +240,26 @@ def _count(text: str) -> int:
     return value
 
 
+def _uint64(text: str) -> int:
+    """An integer argument in 0..2**64-1; argparse exits 2 otherwise."""
+    value = _count(text)
+    if value >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no
-    state between calls."""
+    state between calls.  Its verbs attribute maps each verb to its
+    subparser."""
     parser = argparse.ArgumentParser(
         prog="lattimin",
         description="Maximin preference representations on finite distributive lattices",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices
 
     def add(verb, func, *, lattice=False, pref=False, rep=False, fuzz=False):
         p = sub.add_parser(verb)
@@ -246,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         if rep:
             p.add_argument("--rep", required=True, metavar="PATH")
         if fuzz:
-            p.add_argument("--seed", type=int, default=0, metavar="UINT64")
+            p.add_argument("--seed", type=_uint64, default=0, metavar="UINT64")
             p.add_argument("--trials", type=_count, default=100, metavar="UINT")
             p.add_argument(
                 "--max-size",
@@ -269,8 +293,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with the same exits and messages.
+    The top parser hands an argv that starts with a verb whole to that
+    verb's subparser, and reports what it leaves as unrecognized; such an
+    argv goes to the subparser here without the top parser's pass."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb_parser = parser.verbs.get(argv[0]) if argv else None
+    if verb_parser is None:
+        return parser.parse_args(argv)
+    args, extras = verb_parser.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.verb = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         code, report = args.func(args)
     except LattiminError as e:

@@ -311,11 +311,11 @@ class LatticeHom:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(int(x) for x in self.mapping)
+        mapping = tuple(map(int, self.mapping))
         object.__setattr__(self, "mapping", mapping)
         if len(mapping) != self.source.n:
             raise ValueError("mapping must be total on the source")
-        if any(not 0 <= x < self.target.n for x in mapping):
+        if not 0 <= min(mapping) <= max(mapping) < self.target.n:
             raise ValueError("mapping image out of range")
 
 

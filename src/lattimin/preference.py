@@ -23,7 +23,7 @@ class WeakOrder:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", tuple(map(int, self.ranks)))
 
     @property
     def n(self) -> int:

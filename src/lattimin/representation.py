@@ -66,7 +66,7 @@ class Representation:
             raise TooLarge(
                 f"representations capped at {MAX_ELEMENTS} outcomes, got {self.outcome_count}"
             )
-        object.__setattr__(self, "outcome_ranks", tuple(int(r) for r in self.outcome_ranks))
+        object.__setattr__(self, "outcome_ranks", tuple(map(int, self.outcome_ranks)))
         if len(self.outcome_ranks) != self.outcome_count:
             raise ValueError("outcome_ranks length must equal outcome_count")
         if isinstance(self.sigma, np.ndarray) and self.sigma.dtype == bool:
@@ -173,7 +173,7 @@ def factor_check(
     (src, src_cls), (dst, dst_cls) = images
     mapping = np.zeros(src.n, dtype=np.intp)
     mapping[src_cls] = dst_cls
-    hom = LatticeHom(src, dst, tuple(mapping))
+    hom = LatticeHom(src, dst, mapping.tolist())
     if set(hom.mapping) != set(range(dst.n)):
         raise NotARepresentation("factoring hom is not surjective")
     return hom

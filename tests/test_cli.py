@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -339,6 +340,63 @@ class TestParserReuse:
                 main(argv)
             assert exc.value.code == 2
         assert run(["spectrum", "--lattice", chain3_file], capsys)[0] == 0
+
+
+class TestDispatch:
+    """main parses an argv that starts with a verb with that verb's
+    subparser alone, and any other argv with the top parser: either way
+    with the exit, the output and the namespace of
+    build_parser().parse_args."""
+
+    @staticmethod
+    def exit_of(call, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["--version"], ["-h"], ["validate", "-h"],
+        ["validate"], ["validate", "--lattice"], ["validate", "--lat"],
+        ["validate", "--lattice", "l.json", "extra"],
+        ["validate", "--lattice", "l.json", "--bogus"],
+        ["validate", "--lattice", "l.json", "--bogus", "x", "--out"],
+        ["validate", "--version"], ["validate", "--lattice", "l.json", "--version"],
+        ["validate", "--", "x"], ["validate", "--lattice", "l.json", "--", "x"],
+        ["fuzz", "--trials", "-1"],
+    ])
+    def test_exit_matches_parse_args(self, argv, capsys):
+        expected = self.exit_of(cli.build_parser().parse_args, argv, capsys)
+        assert self.exit_of(main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--lattice", "l.json"],
+        ["validate", "--lat", "l.json", "--out", "r.json"],
+        ["validate", "--lattice=l.json", "--out="],
+        ["verify", "--rep", "r.json", "--pref", "p.json", "--lattice", "l.json"],
+        ["fuzz"], ["fuzz", "--seed", "3", "--max-size", "2", "--trials", "0"],
+    ])
+    def test_namespace_matches_parse_args(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_verb_first_argv_skips_the_top_parser(self, chain3_file, monkeypatch, capsys):
+        top, reached = cli.build_parser(), []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, args=None, namespace=None):
+            if self is top:
+                reached.append(list(args))
+            return real(self, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        assert main(["spectrum", "--lattice", chain3_file]) == 0
+        with pytest.raises(SystemExit):
+            main(["spectrum", "--lattice", chain3_file, "--bogus"])
+        assert reached == []
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert reached == [["--version"]]
+        capsys.readouterr()
 
 
 class TestPosetInput:
@@ -1410,9 +1468,10 @@ class TestUnwritableReport:
     """A report that cannot be written exits 2 with one line, from main and
     from the program alike."""
 
-    @pytest.fixture(params=["missing-dir", "directory"])
+    @pytest.fixture(params=["missing-dir", "directory", "empty"])
     def out(self, request, tmp_path):
-        return tmp_path / "missing" / "x.json" if request.param == "missing-dir" else tmp_path
+        return {"missing-dir": tmp_path / "missing" / "x.json", "directory": tmp_path,
+                "empty": ""}[request.param]
 
     def test_main_exits_2(self, chain3_file, out, capsys):
         assert main(["validate", "--lattice", chain3_file, "--out", str(out)]) == 2
@@ -1492,6 +1551,35 @@ class TestOutFile:
         flags = [f for path, f in opened if path == out]
         assert flags == [os.O_WRONLY | os.O_CREAT]  # no O_TRUNC
 
+    def test_large_report_under_the_rung_cap(self, tmp_path):
+        # 179,101 axiom-3 pairs under ranks 0..599 on the 600-chain, inside
+        # the listing cap: a 6 MB report, written to --out and to stdout in a
+        # child under the 256 MiB address-space cap of a ladder rung, so a
+        # writer that copies the report over and over ends in MemoryError
+        # rather than exhausting the machine.
+        n = 600
+        lattice, pref, out = tmp_path / "c600.json", tmp_path / "w.json", tmp_path / "r.json"
+        lattice.write_text(json.dumps(lattice_to_dict(chain(n))))
+        pref.write_text(json.dumps({"ranks": list(range(n))}))
+        child = (
+            "import sys\n"
+            "from lattimin.cli import main\n"
+            "argv = ['axioms', '--lattice', sys.argv[1], '--pref', sys.argv[2]]\n"
+            "print(main(argv + ['--out', sys.argv[3]]), main(argv), file=sys.stderr)\n"
+        )
+        cap = 256 << 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(pathlib.Path(lattimin.__file__).parents[1]))
+        env.pop("LM_LOG", None)
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(lattice), str(pref), str(out)], env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, timeout=120,
+        )
+        assert done.stderr == b"1 1\n", done.stderr.decode()[-2000:]
+        assert out.read_bytes() == done.stdout
+        assert len(json.loads(done.stdout)["axiom3"]) == (n - 1) * (n - 2) // 2 >= 2**17
+
 
 class TestFuzz:
     @pytest.mark.parametrize(
@@ -1501,14 +1589,23 @@ class TestFuzz:
             (["--max-size", "0"], "invalid choice: 0"),
             (["--max-size", "-1"], "invalid choice: -1"),
             (["--max-size", "7"], "invalid choice: 7"),
+            (["--seed", "-1"], "must not be negative"),
+            (["--seed", str(2**64)], f"must be below 2**64, got {2**64}"),
+            (["--seed", "1.5"], "'1.5' is not an integer"),
         ],
-        ids=["negative-trials", "max-size-0", "max-size-negative", "max-size-7"],
+        ids=["negative-trials", "max-size-0", "max-size-negative", "max-size-7",
+             "negative-seed", "seed-2**64", "fractional-seed"],
     )
     def test_bad_arguments_refused(self, args, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["fuzz", "--trials", "0", *args])
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, capsys):
+        code, report = run(["fuzz", "--seed", str(2**64 - 1), "--trials", "1",
+                            "--max-size", "2"], capsys)
+        assert code == 0 and report["seed"] == 2**64 - 1
 
     def test_small_run_passes_and_reproduces(self, tmp_path, capsys):
         out1 = tmp_path / "a.json"
