@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as encode_str
 
 from . import __version__
 from .duality import roundtrip_check, duality_equivalence_report
-from .errors import AxiomViolation, LattiminError
+from .errors import AxiomViolation, LattiminError, about
 from .io import (
     load_lattice,
     load_preference,
@@ -176,8 +176,10 @@ def cmd_factor(args):
     L = load_lattice(args.lattice)
     W = load_preference(args.pref, L)
     R_other = load_representation(args.rep, L)
-    R_min = minimal_representation(L, W)
-    result = factor_check(L, W, R_other, R_min)
+    with about(args.pref):
+        R_min = minimal_representation(L, W)
+    with about(args.rep):
+        result = factor_check(L, W, R_other, R_min)
     if isinstance(result, Refutation):
         return 1, {"factored": False, "witness": list(result.witness)}
     return 0, {

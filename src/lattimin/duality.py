@@ -92,6 +92,6 @@ def duality_equivalence_report(L: Lattice, W: WeakOrder) -> DualityEquivalenceRe
     r = np.asarray(W.ranks)
     P = cert.spectrum.member
     best = np.where(P, r, r.max()).min(1)  # points are non-empty
-    witness = (r[:, None] <= best[None, :]) @ P  # witness[a, b]: how many G witness (a, b)
+    witness = (r[:, None] <= best[None, :]) @ P  # witness[a, b]: some G witnesses (a, b)
     wit = bool((witness == (r[:, None] <= r[None, :]))[np.ix_(nz, nz)].all())
     return DualityEquivalenceReport(ax, cert.agreement, wit)

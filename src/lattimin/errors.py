@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit, and the one way their messages
-quote a piece of the input."""
+quote a piece of the input and name the file it came from."""
+
+from contextlib import contextmanager
 
 
 class LattiminError(Exception):
@@ -44,3 +46,14 @@ def quote(text: str) -> str:
     """text, a piece of the input written into a message, cut to QUOTE_CHARS
     characters, the last of them "…", if it is longer."""
     return text if len(text) <= QUOTE_CHARS else text[: QUOTE_CHARS - 1] + "…"
+
+
+@contextmanager
+def about(path):
+    """A block whose LattiminError is about the file at path: its message
+    is raised again with path put before it."""
+    try:
+        yield
+    except LattiminError as e:
+        e.args = (f"{path}: {e}",)
+        raise

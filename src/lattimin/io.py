@@ -8,8 +8,8 @@ import os
 
 import numpy as np
 
-from .errors import LattiminError, TooLarge, quote
-from .lattice import Lattice, Poset, _certify, build_lattice, downset_lattice, row_lists
+from .errors import LattiminError, TooLarge, about, quote
+from .lattice import Lattice, Poset, _certify, downset_lattice, row_lists
 from .preference import WeakOrder
 from .representation import Representation
 from .spectrum import SpectralSpace
@@ -142,9 +142,9 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _labels(value, n: int):
-    """value if it is null or a list of n strings, else TypeError or
-    ValueError saying why."""
+def _labels(value, n: int) -> None:
+    """TypeError or ValueError saying why, unless value is null or a list
+    of n strings."""
     if value is not None:
         if type(value) is not list:
             got = quote(json.dumps(value))
@@ -153,7 +153,6 @@ def _labels(value, n: int):
             raise TypeError(f"labels: {quote(json.dumps(bad[0]))} is not a string")
         if len(value) != n:
             raise ValueError(f"labels: {len(value)} labels for {n} elements")
-    return value
 
 
 def _sigma_rows(sigma: dict, n: int) -> list:
@@ -180,15 +179,15 @@ def _refuse_unknown_key(d: dict, fields) -> None:
         raise ValueError(f"key {quote(json.dumps(extra[0]))} is not a field ({', '.join(fields)})")
 
 
-def lattice_from_dict(d, validate=True) -> Lattice:
-    """Build a lattice from its JSON dict.
+def lattice_from_dict(d) -> Lattice:
+    """Build a lattice from its JSON dict, without certifying its laws.
 
     Every table entry must be a JSON integer, and labels, if given, one
-    JSON string per element.  With validate=False the tables are loaded
-    as-is so callers can inspect law violations themselves.  The field n is
-    optional; if given, it must equal the table size, which is checked after
-    the tables' own checks.  The poset form stands for the lattice of its
-    down-sets, which is lawful by construction.  A key outside the form's
+    JSON string per element; they are checked, then not kept, since no
+    report prints them.  The field n is optional; if given, it must equal
+    the table size, which is checked after the tables' own checks.  The
+    poset form stands for the lattice of its down-sets, which is lawful by
+    construction and certified by build_lattice.  A key outside the form's
     fields (TABLE_FIELDS; "poset" alone, and POSET_FIELDS in its block) is
     refused, the first in file order, before any field is read.  A missing
     field raises KeyError, and a refused one TypeError or ValueError naming
@@ -205,25 +204,22 @@ def lattice_from_dict(d, validate=True) -> Lattice:
         _table(d["join"], "join"),
         _ints(d["bottom"], "bottom"),
         _ints(d["top"], "top"),
-        _labels(d.get("labels"), len(d["meet"])),  # a list: _table read it
     )
-    L = build_lattice(*args) if validate else Lattice(*args)
+    _labels(d.get("labels"), len(d["meet"]))  # a list: _table read it
+    L = Lattice(*args)
     if "n" in d and (type(d["n"]) is not int or d["n"] != L.n):
         raise ValueError(f"n: {quote(json.dumps(d['n']))} is not the table size {L.n}")
     return L
 
 
 def lattice_to_dict(L: Lattice) -> dict:
-    d = {
+    return {
         "n": L.n,
         "bottom": L.bottom,
         "top": L.top,
         "meet": [[int(x) for x in row] for row in L.meet],
         "join": [[int(x) for x in row] for row in L.join],
     }
-    if L.labels is not None:
-        d["labels"] = list(L.labels)
-    return d
 
 
 def _from_file(path, kind: str, read, *args):
@@ -232,14 +228,12 @@ def _from_file(path, kind: str, read, *args):
     becomes a FormatError, and a LattiminError (a size cap, a cyclic poset,
     a broken law) is raised again with path put before its message."""
     try:
-        return read(*args)
+        with about(path):
+            return read(*args)
     except KeyError as e:
         raise FormatError(f"{path}: bad {kind} file: missing field {e}") from e
     except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad {kind} file: {e}") from e
-    except LattiminError as e:
-        e.args = (f"{path}: {e}",)
-        raise
 
 
 # The bytes of the last lattice file loaded, and the Lattice read from them.
@@ -247,25 +241,26 @@ _last_lattice: tuple = (None, None)
 
 
 def load_lattice(path, validate=True) -> Lattice:
-    """lattice_from_dict of the JSON object in the file at path.
+    """lattice_from_dict of the JSON object in the file at path, certified
+    lawful unless validate is false: a lawless table raises the LawViolation
+    naming its first broken law.
 
     A file whose bytes equal those of the last lattice file loaded gives
     the same (immutable) Lattice again, unparsed, whatever its path or
     mtime; its law certificate is cached on it (Lattice.birkhoff), so a
     process parses and certifies each distinct content once.  Only the
-    last file is kept, and only once it has loaded; the byte budget is
-    checked on every load, and validate on a lawless table raises the
-    LawViolation a first load would.
+    last file is kept, once it has parsed and passed its field checks, a
+    lawless table included; the byte budget is checked, and validate
+    applied, on every load.
     """
     global _last_lattice
     data = _read(path)
     last, L = _last_lattice
-    if last == data:
-        if validate and L.birkhoff is None:
-            _from_file(path, "lattice", _certify, L)
-        return L
-    L = _from_file(path, "lattice", lattice_from_dict, _decode(path, data), validate)
-    _last_lattice = data, L
+    if last != data:
+        L = _from_file(path, "lattice", lattice_from_dict, _decode(path, data))
+        _last_lattice = data, L
+    if validate:
+        _from_file(path, "lattice", _certify, L)
     return L
 
 

@@ -1,7 +1,7 @@
 """Finite bounded distributive lattices given by explicit meet/join tables.
 
-Elements are dense integer indices 0..n-1; labels are display metadata only.
-The canonical order is ``a <= b`` iff ``meet[a][b] == a``.
+Elements are dense integer indices 0..n-1.  The canonical order is
+``a <= b`` iff ``meet[a][b] == a``.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ class Lattice:
     join: np.ndarray
     bottom: int
     top: int
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "meet", _freeze(self.meet))
@@ -130,21 +129,10 @@ class Lattice:
                 raise ValueError(f"{name} table entries out of range 0..{n - 1}")
         if not (0 <= self.bottom < n and 0 <= self.top < n):
             raise ValueError("bottom/top out of range")
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != n:
-                raise ValueError("labels length must equal element count")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
         return self.meet.shape[0]
-
-    @cached_property
-    def leq_table(self) -> np.ndarray:
-        leq = self.meet == np.arange(self.n)[:, None]
-        leq.setflags(write=False)  # shared by every caller
-        return leq
 
     @cached_property
     def birkhoff(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -267,12 +255,12 @@ def _scan_laws(L: Lattice) -> Iterator[LawIssue]:
                 break
 
 
-def build_lattice(meet_table, join_table, bottom, top, labels=None) -> Lattice:
+def build_lattice(meet_table, join_table, bottom, top) -> Lattice:
     """Construct and fully validate a bounded distributive lattice.
 
     Raises LawViolation naming the first broken law and its witness.
     """
-    L = Lattice(meet_table, join_table, bottom, top, labels)
+    L = Lattice(meet_table, join_table, bottom, top)
     _certify(L)
     return L
 
@@ -298,8 +286,7 @@ def downset_lattice(P: Poset) -> Lattice:
     for s in _row_blocks(k):
         meet[s] = inv[m[s, None] & m]
         join[s] = inv[m[s, None] | m]
-    labels = ["{" + ",".join(str(e) for e in range(P.n) if x >> e & 1) + "}" for x in masks]
-    return build_lattice(meet, join, 0, k - 1, labels)
+    return build_lattice(meet, join, 0, k - 1)
 
 
 @dataclass(frozen=True, eq=False)

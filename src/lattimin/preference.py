@@ -118,8 +118,10 @@ def _domain_mask(L: Lattice, domain) -> np.ndarray:
 
 
 def _axiom1_pairs(L: Lattice, r: np.ndarray, dom: np.ndarray) -> np.ndarray:
-    """[a <= b in L and r(a) > r(b)] over domain pairs, as a bool matrix."""
-    return L.leq_table & (r[:, None] > r[None, :]) & dom[:, None] & dom[None, :]
+    """[a <= b in L and r(a) > r(b)] over domain pairs, as a bool matrix;
+    a <= b is read off the meet table per call, as meet[a, b] == a."""
+    leq = L.meet == np.arange(L.n)[:, None]
+    return leq & (r[:, None] > r[None, :]) & dom[:, None] & dom[None, :]
 
 
 def check_axiom1(L: Lattice, W: WeakOrder, domain=None) -> list:

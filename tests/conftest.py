@@ -16,7 +16,7 @@ def fresh_lattice_memo(monkeypatch):
 
 
 def same_tables(L1, L2):
-    """Equality of lattices as labeled structures (labels ignored)."""
+    """Equality of lattices as tables: size, bounds, meet and join."""
     return (
         L1.n == L2.n
         and L1.bottom == L2.bottom

@@ -220,7 +220,7 @@ def ideal_witness_by_loop(L: Lattice, I):
     first b at which it fails, down-closure tested before join-closure."""
     for a in sorted(I):
         for b in range(L.n):
-            if L.leq_table[b, a] and b not in I:
+            if L.meet[b, a] == b and b not in I:
                 return a, b, "down-closure"
             if b in I and int(L.join[a, b]) not in I:
                 return a, b, "join-closure"
@@ -268,12 +268,7 @@ def quotient_by_loop(L: Lattice, C: Congruence) -> tuple[Lattice, LatticeHom]:
     reps, k = C.representatives, C.num_classes
     meet = [[C.cls(int(L.meet[reps[i], reps[j]])) for j in range(k)] for i in range(k)]
     join = [[C.cls(int(L.join[reps[i], reps[j]])) for j in range(k)] for i in range(k)]
-    labels = None
-    if L.labels is not None:
-        labels = tuple(
-            "|".join(L.labels[a] for a in sorted(C.members(c))) for c in range(k)
-        )
-    Q = build_lattice(meet, join, C.cls(L.bottom), C.cls(L.top), labels)
+    Q = build_lattice(meet, join, C.cls(L.bottom), C.cls(L.top))
     return Q, LatticeHom(L, Q, C.classes)
 
 
@@ -401,7 +396,7 @@ def classify_subset(L: Lattice, S) -> SubsetClassification:
     nonempty = bool(S)
     proper = len(S) < L.n
 
-    up_closed = all(b in S for a in members for b in range(L.n) if L.leq_table[a, b])
+    up_closed = all(b in S for a in members for b in range(L.n) if L.meet[a, b] == a)
     meet_closed = all(int(L.meet[a, b]) in S for a in members for b in members)
     is_filter = nonempty and up_closed and meet_closed
     proper_filter = is_filter and proper
@@ -412,7 +407,7 @@ def classify_subset(L: Lattice, S) -> SubsetClassification:
         if int(L.join[a, b]) in S
     )
 
-    down_closed = all(b in S for a in members for b in range(L.n) if L.leq_table[b, a])
+    down_closed = all(b in S for a in members for b in range(L.n) if L.meet[b, a] == b)
     join_closed = all(int(L.join[a, b]) in S for a in members for b in members)
     is_ideal = nonempty and down_closed and join_closed
     proper_ideal = is_ideal and proper
@@ -456,7 +451,7 @@ def join_irreducibles(L: Lattice) -> frozenset:
     return frozenset(out)
 
 
-def lattice_from_order(order, labels=None, validate=True) -> Lattice:
+def lattice_from_order(order, validate=True) -> Lattice:
     """Compute meet/join tables from a <=-matrix; NotALattice if some pair
     lacks a unique greatest lower / least upper bound."""
     rel = np.asarray(order, dtype=bool)
@@ -486,8 +481,8 @@ def lattice_from_order(order, labels=None, validate=True) -> Lattice:
     if len(bottoms) != 1 or len(tops) != 1:
         raise NotALattice("order lacks global bounds")
     if validate:
-        return build_lattice(meet, join, bottoms[0], tops[0], labels)
-    return Lattice(meet, join, bottoms[0], tops[0], labels)
+        return build_lattice(meet, join, bottoms[0], tops[0])
+    return Lattice(meet, join, bottoms[0], tops[0])
 
 
 def compose(outer: LatticeHom, inner: LatticeHom) -> LatticeHom:

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import lattimin
 from lattimin import cli, io as io_module, lattice as lattice_module, preference
+from lattimin import representation as representation_module
 from lattimin.cli import main
 from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
@@ -657,6 +658,28 @@ class TestRepresentVerifyFactor:
         assert report == {"factored": True, "hom": [0, 1, 2], "surjective": True,
                           "valid_hom": True}
 
+    # The minimal representation of W3 on CHAIN3, as a file.
+    REP3 = {"outcomes": 2, "sigma": {"0": [], "1": [1], "2": [0, 1]}, "outcome_ranks": [1, 0]}
+
+    @pytest.mark.parametrize("flag, ranks, rep, message", [
+        ("pref", [2, 1, 0], REP3, "axiom violations (axiom1: 3)"),
+        ("rep", [0, 1, 2], {**REP3, "sigma": {"0": [], "1": [0, 1], "2": [1]}},
+         "sigma_map is not a bounded-lattice hom"),
+        ("rep", [0, 1, 2], {**REP3, "outcome_ranks": [0, 1]},
+         "representation does not reproduce W"),
+    ], ids=["axioms", "not-a-hom", "other-order"])
+    def test_factor_refusal_names_the_file(self, chain3_file, tmp_path, capsys, flag, ranks,
+                                           rep, message):
+        """factor's refusals after loading start with the path of the file
+        they refuse: the order, or the alleged representation."""
+        paths = {"pref": tmp_path / "pref.json", "rep": tmp_path / "rep.json"}
+        paths["pref"].write_text(json.dumps({"ranks": ranks}))
+        paths["rep"].write_text(json.dumps(rep))
+        argv = ["factor", "--lattice", chain3_file, "--pref", str(paths["pref"]),
+                "--rep", str(paths["rep"])]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {paths[flag]}: {message}\n")
+
 
 class TestInputErrors:
     def test_malformed_json(self, tmp_path, capsys):
@@ -978,18 +1001,13 @@ class TestExitCodeContract:
     starts with the path of a file on its command line; exit 1 writes a
     report whose verdict is false; and a repeat gives the same bytes.  (A
     JSON syntax error puts its line and column after the path.)  The
-    only exit-2 lines without a path are refusals of the checks themselves,
-    after every file has loaded: factor's axiom violations and alleged
-    representations, and the violation listing cap."""
+    only exit-2 line without a path is the violation listing cap's."""
 
     DRAWS = 40  # per mutation class
     CLASSES = ("drop-key", "add-key", "repeat-key", "retype", "table", "truncate", "non-utf8",
                "bom", "swap")
     VERDICT = {"validate": "valid", "axioms": "satisfied", "dualize": "agreement",
                "verify": "verified", "factor": "factored"}
-    AFTER_LOADING = ("error: axiom violations (", "error: sigma_map is not a bounded-lattice hom\n",
-                     "error: representation does not reproduce W\n",
-                     "error: factoring hom is not surjective\n")
     RETYPES = (0.5, True, "1", None, [], {}, 1 << 62, "RAW:" + "9" * 5000,
                "RAW:" + "[" * 100_000 + "]" * 100_000, "RAW:" + "[" * 50 + "0" + "]" * 50)
 
@@ -1071,9 +1089,7 @@ class TestExitCodeContract:
             assert out == "" and err.endswith("\n") and err.count("\n") == 1, (argv, err)
             named = any(re.match(rf"error: {re.escape(given[flag])}(:\d+:\d+)?: ", err)
                         for flag in flags)
-            checked = (verb == "factor" and err.startswith(self.AFTER_LOADING)
-                       or "over the listing cap of" in err)
-            assert named or checked, (argv, err)
+            assert named or "over the listing cap of" in err, (argv, err)
         else:
             assert err == "" and code in (0, 1), (argv, code, err)
             report = json.loads(out)
@@ -1139,6 +1155,48 @@ class TestRepresentationCap:
             f"error: {tmp_path / 'rep.json'}: representations capped at "
             f"{lattice_module.MAX_ELEMENTS} outcomes, got {count}\n"
         )
+
+
+class TestSizeCapBoundaries:
+    """The outcome cap and the down-set cap, each patched small as
+    TestByteBudget patches the byte budget: at the cap the verb answers
+    with exit 0 or 1, and one over it exits 2 with one line naming the
+    file."""
+
+    @staticmethod
+    def refused(argv, path, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("verb", ["verify", "factor"])
+    def test_outcome_cap(self, chain3_file, w3_file, tmp_path, monkeypatch, capsys, verb):
+        # representation.MAX_ELEMENTS is bound apart from lattice.MAX_ELEMENTS
+        monkeypatch.setattr(representation_module, "MAX_ELEMENTS", 3)
+        rep = tmp_path / "rep.json"
+        argv = [verb, "--lattice", chain3_file, "--pref", w3_file, "--rep", str(rep)]
+
+        def write(count):  # W3's representation, its outcome 0 repeated
+            rep.write_text(json.dumps({
+                "outcomes": count, "sigma": {"0": [], "1": [1], "2": list(range(count))},
+                "outcome_ranks": [1, 0] + [1] * (count - 2)}))
+
+        write(3)
+        assert main(argv) in (0, 1)
+        assert capsys.readouterr().err == ""
+        write(4)
+        self.refused(argv, rep, "representations capped at 3 outcomes, got 4", capsys)
+
+    @pytest.mark.parametrize("verb", ["validate", "spectrum"])
+    def test_downset_cap(self, tmp_path, monkeypatch, capsys, verb):
+        monkeypatch.setattr(lattice_module, "MAX_ELEMENTS", 4)
+        path = tmp_path / "poset.json"
+        argv = [verb, "--lattice", str(path)]
+        path.write_text(json.dumps({"poset": {"n": 2, "covers": []}}))  # B2: 4 down-sets
+        assert main(argv) in (0, 1)
+        assert capsys.readouterr().err == ""
+        # two minimal points under a top one: 5 down-sets
+        path.write_text(json.dumps({"poset": {"n": 3, "covers": [[0, 2], [1, 2]]}}))
+        self.refused(argv, path, "down-set lattice capped at 4 elements, got 5", capsys)
 
 
 class TestDegenerateShapes:
@@ -1274,8 +1332,7 @@ class TestLatticeMemo:
         assert parses == [chain3_file]
 
     def test_rewrite_of_equal_length_and_mtime_is_read(self, tmp_path, capsys, parses):
-        b2, c4 = ({k: v for k, v in lattice_to_dict(L).items() if k != "labels"}
-                  for L in (B2, chain(4)))
+        b2, c4 = (lattice_to_dict(L) for L in (B2, chain(4)))
         path = tmp_path / "lattice.json"
         path.write_text(json.dumps(b2))
         stamp = os.stat(path)
@@ -1304,20 +1361,52 @@ class TestLatticeMemo:
             assert captured.out == "" and captured.err == self.LAW_ERROR.format(path)
         assert parses == [str(path)] and len(scans) == 4
 
-    def test_law_check_before_size_check_on_every_load(self, tmp_path, capsys, parses):
-        """A table that breaks a law and misstates n: validate reads it
-        unvalidated and names n, spectrum names the law, and a failed load
-        is not kept."""
+    def test_size_check_before_law_check_on_every_load(self, tmp_path, capsys, parses):
+        """A table that breaks a law and misstates n: every verb names n,
+        since the field checks come before the law check, and a load that
+        fails its field checks is not kept."""
         path = tmp_path / "both.json"
         path.write_text(json.dumps({"n": 7, **self.LAWLESS}))
         for _ in range(2):
-            assert main(["validate", "--lattice", str(path)]) == 2
-            assert capsys.readouterr().err == (
-                f"error: {path}: bad lattice file: n: 7 is not the table size 3\n"
-            )
-            assert main(["spectrum", "--lattice", str(path)]) == 2
-            assert capsys.readouterr().err == self.LAW_ERROR.format(path)
+            for verb in ("validate", "spectrum"):
+                assert main([verb, "--lattice", str(path)]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: {path}: bad lattice file: n: 7 is not the table size 3\n"
+                )
         assert parses == [str(path)] * 4
+
+    def test_lawless_table_kept_after_a_refused_load(self, tmp_path, capsys, parses):
+        """A lawless table that parses is kept, though the load that parsed
+        it refused it; the next load refuses it again, unparsed."""
+        path = tmp_path / "lawless.json"
+        path.write_text(json.dumps(self.LAWLESS))
+        for _ in range(2):
+            assert main(["spectrum", "--lattice", str(path)]) == 2
+            assert capsys.readouterr() == ("", self.LAW_ERROR.format(path))
+        assert parses == [str(path)]
+
+    def test_reading_a_table_certifies_nothing(self, monkeypatch):
+        """lattice_from_dict parses and checks the fields of a lawful table,
+        and leaves its law certificate to load_lattice."""
+        entered = []
+        monkeypatch.setattr(io_module, "_certify", lambda L: entered.append("_certify"))
+        monkeypatch.setattr(lattice_module, "_certify", lambda L: entered.append("_certify"))
+        monkeypatch.setattr(lattice_module, "_is_set_hom",
+                            lambda L, P: entered.append("birkhoff"))
+        L = io_module.lattice_from_dict(lattice_to_dict(B2))
+        assert entered == [] and "birkhoff" not in vars(L)
+
+    def test_validating_load_certifies_on_miss_and_hit(self, chain3_file, monkeypatch, parses):
+        """load_lattice is the one site that certifies a loaded lattice: once
+        on a parse, once on a memo hit, and not at all without validate."""
+        certified = []
+        certify = io_module._certify
+        monkeypatch.setattr(io_module, "_certify", lambda L: certified.append(L) or certify(L))
+        L = io_module.load_lattice(chain3_file)
+        assert certified == [L]
+        assert io_module.load_lattice(chain3_file) is L and certified == [L, L]
+        assert io_module.load_lattice(chain3_file, validate=False) is L
+        assert certified == [L, L] and parses == [chain3_file]
 
 
 class TestIntegerRange:

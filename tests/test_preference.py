@@ -92,12 +92,13 @@ class TestAxiom2:
         assert check_axiom2(B2, WeakOrder((0, 0, 0, 0))) == []
 
     def test_blocks_match_unchunked_expression(self):
-        L = downset_lattice(Poset(7))  # B7: 128 elements, two blocks of a
+        P = Poset(7)
+        L = downset_lattice(P)  # B7: 128 elements, two blocks of a
         n = L.n
         rows = BLOCK_ELEMENTS // n**2  # values of a per block
         # Larger down-sets more preferred, which alone breaks nothing; then
         # two elements made the worst of all.
-        ranks = [7 - label.count(",") - (label != "{}") for label in L.labels]
+        ranks = [7 - bin(mask).count("1") for mask in P.downset_masks()]
         ranks[40] = ranks[100] = 8
         r = np.asarray(ranks)
         strict = r[:, None] < r[None, :]

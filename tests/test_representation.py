@@ -174,7 +174,7 @@ def coarsest_compatible_by_removal(L, W):
     J = sorted(join_irreducibles(L))
 
     def classes(kept):
-        return class_ids(frozenset(j for j in kept if L.leq_table[j, a]) for a in range(L.n))
+        return class_ids(frozenset(j for j in kept if L.meet[j, a] == j) for a in range(L.n))
 
     def compatible(cls):
         rank_of = {}

@@ -119,11 +119,11 @@ class TestPrimeUpsets:
         assert calls == [L]
 
     def test_spectrum_reads_the_certificate(self):
-        """The spectrum is the certificate's up-set matrix: it builds no
-        order table."""
+        """The spectrum is the certificate's up-set matrix, and no order
+        table is cached beside it."""
         L = build_lattice(B3.meet, B3.join, B3.bottom, B3.top)
         member = L.spectrum.member.tolist()
-        assert "leq_table" not in vars(L)
+        assert set(vars(L)) == {"meet", "join", "bottom", "top", "birkhoff", "spectrum"}
         assert member == sorted(L.birkhoff[1].tolist(), key=lambda row: row[::-1])
 
 

@@ -1,13 +1,17 @@
 import ast
 import collections
+import dataclasses
+import functools
 import importlib
+import inspect
 import pathlib
 import random
 
 import pytest
 
 import lattimin
-from lattimin import TooLarge, validate_laws
+from lattimin import Lattice, TooLarge, build_lattice, validate_laws
+from lattimin.io import lattice_from_dict
 from lattimin.spectrum import is_powerset_hom
 from lattimin.testkit import (
     random_distributive_lattice,
@@ -178,13 +182,37 @@ class TestShippedCode:
     def test_one_birkhoff_matrix(self):
         """The up-set matrix of J(L), a meet-table lookup compared with a
         column of its own indices, is built only by Lattice.birkhoff; the
-        spectrum and synthesis read it there, and only axiom 1 reads the
-        order table."""
-        assert self.uses("leq_table") == {("preference.py", "_axiom1_pairs")}
+        spectrum and synthesis read it there.  Only axiom 1 compares the
+        whole meet table with such a column, per call: no order table is
+        stored."""
+        def column_compare(node):
+            return (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq)
+                    and self.is_column(node.comparators[0]))
+
         assert self.where(
-            lambda node: isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq)
-            and isinstance(node.left, ast.Subscript) and self.is_column(node.comparators[0])
+            lambda node: column_compare(node) and isinstance(node.left, ast.Subscript)
         ) == {("lattice.py", "birkhoff")}
+        assert self.where(
+            lambda node: column_compare(node) and isinstance(node.left, ast.Attribute)
+        ) == {("preference.py", "_axiom1_pairs")}
+
+    def test_a_lattice_is_its_tables_and_certificate(self):
+        """Lattice stores its four fields and caches only its certificate
+        and spectrum: no module defines or reads labels or an order table
+        (io._labels checks the file field and keeps nothing), and only
+        io.load_lattice decides whether to certify a loaded lattice."""
+        assert [f.name for f in dataclasses.fields(Lattice)] == ["meet", "join", "bottom", "top"]
+        cached = {name for name, value in vars(Lattice).items()
+                  if isinstance(value, functools.cached_property)}
+        assert cached == {"birkhoff", "spectrum"}
+        for attr in ("labels", "leq_table"):
+            assert self.uses(attr) == set(), attr
+            assert self.where(lambda node: attr in (
+                getattr(node, "name", None), getattr(node, "id", None), getattr(node, "arg", None)
+            )) == set(), attr
+        assert list(inspect.signature(lattice_from_dict).parameters) == ["d"]
+        assert list(inspect.signature(build_lattice).parameters) == [
+            "meet_table", "join_table", "bottom", "top"]
 
     # Each construction that no command runs, and that left the package, ->
     # its one definition under tests/; None for check_representation_hom,
