@@ -130,9 +130,10 @@ def cmd_spectrum(args):
 def cmd_axioms(args):
     L = load_lattice(args.lattice)
     W = load_preference(args.pref, L)
-    v1 = check_axiom1(L, W)
-    v2 = check_axiom2(L, W)
-    v3 = check_axiom3(L, W)
+    with about(args.pref):
+        v1 = check_axiom1(L, W)
+        v2 = check_axiom2(L, W)
+        v3 = check_axiom3(L, W)
     # _dumps writes a tuple as a list, so the violations are not copied
     report = {"axiom1": v1, "axiom2": v2, "axiom3": v3, "satisfied": not (v1 or v2 or v3)}
     return (0 if report["satisfied"] else 1), report
@@ -154,7 +155,8 @@ def cmd_represent(args):
     L = load_lattice(args.lattice)
     W = load_preference(args.pref, L)
     try:
-        R = minimal_representation(L, W)
+        with about(args.pref):
+            R = minimal_representation(L, W)
     except AxiomViolation as e:
         return 1, {"error": "axiom-violation", "violations": e.violations}
     return 0, representation_to_dict(R)

@@ -87,7 +87,9 @@ def duality_equivalence_report(L: Lattice, W: WeakOrder) -> DualityEquivalenceRe
     rank[a] <= the best rank in G; it is evaluated for every pair at once.
     """
     nz = nonzero_elements(L)
-    ax = axioms12_hold(L, W, domain=nz)
+    ranks = list(W.ranks)
+    ranks[L.bottom] = min(ranks) - 1  # ⊥ strictly best lies in no violating pair or triple
+    ax = axioms12_hold(L, WeakOrder(ranks))
     cert = roundtrip_check(L, W)
     r = np.asarray(W.ranks)
     P = cert.spectrum.member

@@ -109,63 +109,51 @@ def _refuse_over_cap(axiom: int, total: int, what: str) -> None:
         )
 
 
-def _domain_mask(L: Lattice, domain) -> np.ndarray:
-    if domain is None:
-        return np.ones(L.n, dtype=bool)
-    mask = np.zeros(L.n, dtype=bool)
-    mask[list(domain)] = True
-    return mask
+def _axiom1_pairs(L: Lattice, r: np.ndarray) -> np.ndarray:
+    """[a <= b in L and r(a) > r(b)] as a bool matrix; a <= b is read off
+    the meet table per call, as meet[a, b] == a."""
+    return (L.meet == np.arange(L.n)[:, None]) & (r[:, None] > r[None, :])
 
 
-def _axiom1_pairs(L: Lattice, r: np.ndarray, dom: np.ndarray) -> np.ndarray:
-    """[a <= b in L and r(a) > r(b)] over domain pairs, as a bool matrix;
-    a <= b is read off the meet table per call, as meet[a, b] == a."""
-    leq = L.meet == np.arange(L.n)[:, None]
-    return leq & (r[:, None] > r[None, :]) & dom[:, None] & dom[None, :]
-
-
-def check_axiom1(L: Lattice, W: WeakOrder, domain=None) -> list:
+def check_axiom1(L: Lattice, W: WeakOrder) -> list:
     """Violating pairs (a, b) with a <= b in the lattice but a not >= b in W.
     TooLarge, before any pair is listed, if there are more than
     MAX_LISTED_VIOLATIONS."""
-    bad = _axiom1_pairs(L, np.asarray(W.ranks), _domain_mask(L, domain))
+    bad = _axiom1_pairs(L, np.asarray(W.ranks))
     _refuse_over_cap(1, int(bad.sum()), "pairs")
     return [tuple(int(v) for v in w) for w in np.argwhere(bad)]
 
 
-def _axiom2_rows(L: Lattice, r: np.ndarray, dom: np.ndarray) -> np.ndarray:
+def _axiom2_rows(L: Lattice, r: np.ndarray) -> np.ndarray:
     """How many of check_axiom2's violating triples (a, a', b) have row a,
     per a; a row is flagged iff its count is positive.
 
-    c[x] counts the domain ranks <= r(x).  The domain b with
-    max(r(a), r(a')) < r(b) <= r(a | a') number
-    max(0, c[a | a'] - max(c[a], c[a'])), because c is monotone in r; the
-    pair (a, a') must lie in the domain, a | a' need not.  So the count costs
-    n^2 integer operations, evaluated over blocks of a, in place of n^3."""
-    c = np.searchsorted(np.sort(r[dom]), r, "right").astype(np.int32)
-    pair = np.where(dom, c, L.n)  # out of the domain: never below c[a | a']
+    c[x] counts the ranks <= r(x).  The b with max(r(a), r(a')) < r(b) <=
+    r(a | a') number max(0, c[a | a'] - max(c[a], c[a'])), because c is
+    monotone in r.  So the count costs n^2 integer operations, evaluated
+    over blocks of a, in place of n^3."""
+    c = np.searchsorted(np.sort(r), r, "right").astype(np.int32)
     rows = np.zeros(L.n, dtype=np.int64)
     for s in _row_blocks(L.n, L.n):
         excess = c[L.join[s]]
-        excess -= np.maximum(pair[s, None], pair)
+        excess -= np.maximum(c[s, None], c)
         rows[s] = np.maximum(excess, 0, out=excess).sum(1)
     return rows
 
 
-def check_axiom2(L: Lattice, W: WeakOrder, domain=None) -> list:
+def check_axiom2(L: Lattice, W: WeakOrder) -> list:
     """Violating triples (a, a', b): a > b and a' > b but (a | a') not > b,
     in lexicographic order.  The triples are scanned only on the rows a that
     _axiom2_rows flags, in blocks of a, so memory stays O(BLOCK_ELEMENTS)
     however large n is.  TooLarge, before any triple is listed, if there are
     more than MAX_LISTED_VIOLATIONS."""
     r = np.asarray(W.ranks)
-    dom = _domain_mask(L, domain)
-    counts = _axiom2_rows(L, r, dom)
+    counts = _axiom2_rows(L, r)
     flagged = np.flatnonzero(counts)
     if not flagged.size:
         return []
     _refuse_over_cap(2, int(counts.sum()), "triples")
-    strict = (r[:, None] < r[None, :]) & dom[:, None] & dom[None, :]
+    strict = r[:, None] < r[None, :]
     out = []
     for s in _row_blocks(flagged.size, L.n * L.n):
         a = flagged[s]
@@ -186,9 +174,8 @@ def check_axiom3(L: Lattice, W: WeakOrder) -> list:
     return [(int(a), int(a2)) for a, a2 in np.argwhere(bad)]
 
 
-def axioms12_hold(L: Lattice, W: WeakOrder, domain=None) -> bool:
-    """Whether axioms 1 and 2 hold on the domain; axiom 2 by its certificate
-    alone, without listing triples.  The domain is read once, so it may be
-    an iterator."""
-    r, dom = np.asarray(W.ranks), _domain_mask(L, domain)
-    return not (_axiom1_pairs(L, r, dom).any() or _axiom2_rows(L, r, dom).any())
+def axioms12_hold(L: Lattice, W: WeakOrder) -> bool:
+    """Whether axioms 1 and 2 hold; axiom 2 by its certificate alone,
+    without listing triples."""
+    r = np.asarray(W.ranks)
+    return not (_axiom1_pairs(L, r).any() or _axiom2_rows(L, r).any())

@@ -53,8 +53,8 @@ class Representation:
     of element a, and a rank per outcome.  sigma may be given as such a
     matrix (dtype bool) or as one iterable of outcomes per element, which
     an integer array also is; sigma_map is its frozenset view.  Equality
-    compares values.  TooLarge, before sigma is read, if there are more than
-    MAX_ELEMENTS outcomes, which bounds the X-by-X planes of
+    compares values.  TooLarge, before sigma becomes its matrix, if there are
+    more than MAX_ELEMENTS outcomes, which bounds the X-by-X planes of
     derive_pref_from_rep's literal check."""
 
     outcome_count: int

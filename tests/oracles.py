@@ -195,6 +195,27 @@ def is_boolean(L: Lattice) -> bool:
     )
 
 
+def axiom1_by_loop(L: Lattice, ranks, domain=None) -> list:
+    """The literal definition: pairs (a, b) of the domain, in lexicographic
+    order, with a <= b but r(a) > r(b)."""
+    dom = range(L.n) if domain is None else sorted(set(domain))
+    return [(a, b) for a in dom for b in dom if L.meet[a, b] == a and ranks[a] > ranks[b]]
+
+
+def axiom2_by_loop(L: Lattice, ranks, domain=None) -> list:
+    """The literal definition: triples (a, a', b) of the domain, in
+    lexicographic order, with a > b and a' > b but not (a | a') > b."""
+    dom = range(L.n) if domain is None else sorted(set(domain))
+    r, join = list(ranks), L.join.tolist()
+    return [
+        (a, a2, b)
+        for a in dom
+        for a2 in dom
+        for b in dom
+        if r[a] < r[b] and r[a2] < r[b] and not r[join[a][a2]] < r[b]
+    ]
+
+
 def trivializer_set(L: Lattice, W: WeakOrder, a: int) -> frozenset:
     """{b : a & b ~ bottom}, the set of descriptions trivializing a: the
     literal definition, which check_axiom3 evaluates for every a at once."""

@@ -462,7 +462,7 @@ class TestAxiom2Cap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: axiom 2 has 2 violating triples, over the listing cap of 0\n"
+            f"error: {b2_files[3]}: axiom 2 has 2 violating triples, over the listing cap of 0\n"
         )
 
     def test_b10_random_order_refused_within_the_rung_budget(self, tmp_path):
@@ -492,7 +492,7 @@ class TestAxiom2Cap:
             capture_output=True, text=True, timeout=120,
         )
         assert done.stdout == "axioms 2\nrepresent 2\n", done.stderr
-        assert done.stderr.count("error: axiom 2 has 73522970 violating triples") == 2
+        assert done.stderr.count(f"error: {pref}: axiom 2 has 73522970 violating triples") == 2
 
 
 class TestAxiom1And3Cap:
@@ -520,7 +520,7 @@ class TestAxiom1And3Cap:
         assert main([verb, *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}, over the listing cap of 0\n"
+        assert captured.err == f"error: {args[3]}: {message}, over the listing cap of 0\n"
 
     def test_c1024_refused_within_the_rung_budget(self, tmp_path):
         # 523,776 axiom-1 pairs under reversed ranks and 522,753 axiom-3
@@ -557,8 +557,8 @@ class TestAxiom1And3Cap:
             capture_output=True, text=True, timeout=120,
         )
         assert done.stdout == "axioms rev 2\nrepresent rev 2\naxioms inc 2\n", done.stderr
-        assert done.stderr.count("error: axiom 1 has 523776 violating pairs") == 2
-        assert done.stderr.count("error: axiom 3 has 522753 violating pairs") == 1
+        assert done.stderr.count(f"error: {tmp_path}/rev.json: axiom 1 has 523776 violating pairs") == 2
+        assert done.stderr.count(f"error: {tmp_path}/inc.json: axiom 3 has 522753 violating pairs") == 1
 
 
 class TestDualize:
@@ -1000,8 +1000,7 @@ class TestExitCodeContract:
     exception escaping.  Exit 2 writes no report and one stderr line that
     starts with the path of a file on its command line; exit 1 writes a
     report whose verdict is false; and a repeat gives the same bytes.  (A
-    JSON syntax error puts its line and column after the path.)  The
-    only exit-2 line without a path is the violation listing cap's."""
+    JSON syntax error puts its line and column after the path.)"""
 
     DRAWS = 40  # per mutation class
     CLASSES = ("drop-key", "add-key", "repeat-key", "retype", "table", "truncate", "non-utf8",
@@ -1089,7 +1088,7 @@ class TestExitCodeContract:
             assert out == "" and err.endswith("\n") and err.count("\n") == 1, (argv, err)
             named = any(re.match(rf"error: {re.escape(given[flag])}(:\d+:\d+)?: ", err)
                         for flag in flags)
-            assert named or "over the listing cap of" in err, (argv, err)
+            assert named, (argv, err)
         else:
             assert err == "" and code in (0, 1), (argv, code, err)
             report = json.loads(out)
@@ -1185,6 +1184,11 @@ class TestSizeCapBoundaries:
         assert capsys.readouterr().err == ""
         write(4)
         self.refused(argv, rep, "representations capped at 3 outcomes, got 4", capsys)
+        # the fields are read and type-checked before the cap is checked
+        rep.write_text(json.dumps({
+            "outcomes": 4, "sigma": {"0": [], "1": [1.5], "2": [0]},
+            "outcome_ranks": [1, 0, 1, 1]}))
+        self.refused(argv, rep, "bad representation file: sigma: 1.5 is not an integer", capsys)
 
     @pytest.mark.parametrize("verb", ["validate", "spectrum"])
     def test_downset_cap(self, tmp_path, monkeypatch, capsys, verb):

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 from lattimin import (
@@ -9,7 +11,7 @@ from lattimin import (
     duality_equivalence_report,
 )
 from lattimin.duality import nonzero_elements
-from lattimin.lattice import row_sets
+from lattimin.lattice import downset_lattice, row_sets
 from lattimin.testkit import (
     derived_weak_order,
     random_distributive_lattice,
@@ -17,7 +19,14 @@ from lattimin.testkit import (
 )
 
 from fixtures import B2, B2_A, B2_B, CHAIN2, CHAIN3, W3
-from oracles import enumerate_weak_orders, filter_witness, literal_dominance
+from oracles import (
+    all_posets,
+    axiom1_by_loop,
+    axiom2_by_loop,
+    enumerate_weak_orders,
+    filter_witness,
+    literal_dominance,
+)
 
 
 def forward_literal(S, W):
@@ -105,6 +114,34 @@ class TestDualityEquivalence:
             for ranks in enumerate_weak_orders(L.n):
                 rep = duality_equivalence_report(L, WeakOrder(ranks))
                 assert rep.equivalent
+
+    def test_axioms_hold_on_the_nonzero_elements(self):
+        """axioms_hold, checked on the whole lattice with bottom ranked
+        strictly best, is the literal verdict of axioms 1 and 2 on A minus
+        bottom: on every down-set lattice of at most 5 elements under every
+        rank vector, and on seeded lattices under derived and random orders,
+        some of which rank bottom worse than another element."""
+        lattices = {}
+        for k in range(5):
+            for P in all_posets(k):
+                L = downset_lattice(P)
+                if L.n <= 5:
+                    lattices.setdefault(L.join.tobytes(), L)
+        cases = [(L, ranks) for L in lattices.values()
+                 for ranks in itertools.product(range(L.n), repeat=L.n)]
+        rng = random.Random(29)
+        for seed in range(300):
+            L = random_distributive_lattice(4, seed)
+            cases.append((L, derived_weak_order(L, seed).ranks))
+            cases.append((L, [rng.randint(-3, 3) for _ in range(L.n)]))
+        verdicts = collections.Counter()
+        for L, ranks in cases:
+            nz = nonzero_elements(L)
+            holds = not axiom1_by_loop(L, ranks, nz) and not axiom2_by_loop(L, ranks, nz)
+            assert duality_equivalence_report(L, WeakOrder(ranks)).axioms_hold == holds
+            bottom_not_best = ranks[L.bottom] > min(ranks)
+            verdicts[holds, bottom_not_best] += 1
+        assert len(lattices) == 8 and min(verdicts.values()) >= 100, verdicts
 
     def test_forward_always_total_preorder(self):
         for seed in range(40):

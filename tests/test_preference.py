@@ -37,6 +37,8 @@ from oracles import (
     AxiomsNotSatisfied,
     NotAnIdeal,
     all_posets,
+    axiom1_by_loop,
+    axiom2_by_loop,
     axiom3_by_loop,
     enumerate_weak_orders,
     literal_dominance,
@@ -60,20 +62,19 @@ class TestAxiom1:
 
     def test_listing_cap_is_the_exact_count(self, monkeypatch):
         """check_axiom1 lists up to MAX_LISTED_VIOLATIONS pairs and refuses one
-        more, on seeded lattices with random orders and domains."""
+        more, on seeded lattices with random orders."""
         rng = random.Random(4)
         counts = set()
         for seed in range(200):
             L = random_distributive_lattice(5, seed)
             W = WeakOrder(random_weak_order(L.n, rng))
-            domain = None if seed % 2 else rng.sample(range(L.n), rng.randint(1, L.n))
-            pairs = check_axiom1(L, W, domain)
+            pairs = check_axiom1(L, W)
             monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", len(pairs))
-            assert check_axiom1(L, W, domain) == pairs
+            assert check_axiom1(L, W) == pairs
             if pairs:
                 monkeypatch.setattr(preference, "MAX_LISTED_VIOLATIONS", len(pairs) - 1)
                 with pytest.raises(TooLarge, match=f"axiom 1 has {len(pairs)} violating pairs"):
-                    check_axiom1(L, W, domain)
+                    check_axiom1(L, W)
             monkeypatch.undo()
             counts.add(len(pairs))
         assert 0 in counts and len(counts) >= 20
@@ -102,53 +103,29 @@ class TestAxiom2:
         ranks[40] = ranks[100] = 8
         r = np.asarray(ranks)
         strict = r[:, None] < r[None, :]
-        rj = r[L.join]
-        for domain in (None, range(10, n, 3)):
-            dom = np.zeros(n, dtype=bool)
-            dom[list(domain or range(n))] = True
-            bad = (
-                strict[:, None, :] & strict[None, :, :] & (rj[:, :, None] >= r)
-                & dom[:, None, None] & dom[None, :, None] & dom[None, None, :]
-            )
-            expected = [tuple(int(v) for v in w) for w in np.argwhere(bad)]
-            got = check_axiom2(L, WeakOrder(ranks), domain)
-            assert got == expected
-            assert min(a for a, _, _ in got) < rows <= max(a for a, _, _ in got)
-
-
-def axiom2_by_loop(L, ranks, domain=None):
-    """The literal definition: triples (a, a', b) of the domain, in
-    lexicographic order, with a > b and a' > b but not (a | a') > b."""
-    dom = range(L.n) if domain is None else sorted(set(domain))
-    r, join = list(ranks), L.join.tolist()
-    return [
-        (a, a2, b)
-        for a in dom
-        for a2 in dom
-        for b in dom
-        if r[a] < r[b] and r[a2] < r[b] and not r[join[a][a2]] < r[b]
-    ]
+        bad = strict[:, None, :] & strict[None, :, :] & (r[L.join][:, :, None] >= r)
+        expected = [tuple(int(v) for v in w) for w in np.argwhere(bad)]
+        got = check_axiom2(L, WeakOrder(ranks))
+        assert got == expected
+        assert min(a for a, _, _ in got) < rows <= max(a for a, _, _ in got)
 
 
 class TestAxiom2Certificate:
     """check_axiom2 lists its triples only on the rows its certificate
     flags, and axioms12_hold reads the certificate alone; both against the
-    literal triple loop."""
+    literal triple loop, and check_axiom1 against the literal pair loop."""
 
     @staticmethod
-    def assert_agrees(L, ranks, domain):
+    def assert_agrees(L, ranks):
         W = WeakOrder(ranks)
-        expected = axiom2_by_loop(L, ranks, domain)
-        assert check_axiom2(L, W, domain) == expected
-        members = list(range(L.n) if domain is None else domain)
-        dom = np.zeros(L.n, dtype=bool)
-        dom[members] = True
+        expected = axiom2_by_loop(L, ranks)
+        assert check_axiom2(L, W) == expected
         per_row = collections.Counter(a for a, _, _ in expected)
-        counts = preference._axiom2_rows(L, np.asarray(ranks), dom)
+        counts = preference._axiom2_rows(L, np.asarray(ranks))
         assert counts.tolist() == [per_row[a] for a in range(L.n)]
-        holds = not check_axiom1(L, W, domain) and not expected
-        assert axioms12_hold(L, W, domain) == holds
-        assert axioms12_hold(L, W, iter(members)) == holds  # read once
+        pairs = check_axiom1(L, W)
+        assert pairs == axiom1_by_loop(L, ranks)
+        assert axioms12_hold(L, W) == (not pairs and not expected)
         return expected
 
     def test_every_small_lattice_under_every_rank_vector(self):
@@ -161,46 +138,47 @@ class TestAxiom2Certificate:
         violated = 0
         for L in lattices.values():
             for ranks in itertools.product(range(L.n), repeat=L.n):
-                violated += bool(self.assert_agrees(L, ranks, None))
+                violated += bool(self.assert_agrees(L, ranks))
         assert len(lattices) == 8 and violated >= 1000
 
-    def test_seeded_lattices_orders_and_domains(self):
+    def test_seeded_lattices_and_orders(self):
         rng = random.Random(17)
         kinds = collections.Counter()
         for seed in range(2000):
             L = random_distributive_lattice(4, seed)
             orders = [derived_weak_order(L, seed).ranks]
-            orders.append([rng.randint(-3, 3) for _ in range(L.n)])
-            domains = [None, nonzero_elements(L), {a for a in range(L.n) if rng.random() < 0.6}]
+            orders += [[rng.randint(-3, 3) for _ in range(L.n)] for _ in range(2)]
             for ranks in orders:
-                for domain in domains:
-                    violations = self.assert_agrees(L, ranks, domain)
-                    kinds[bool(violations), axioms12_hold(L, WeakOrder(ranks), domain)] += 1
+                violations = self.assert_agrees(L, ranks)
+                kinds[bool(violations), axioms12_hold(L, WeakOrder(ranks))] += 1
         assert kinds[True, False] >= 1000 and kinds[False, True] >= 1000, kinds
         assert kinds[False, False] >= 100, kinds
+
+    def test_bottom_ranked_strictly_best_lies_in_no_violation(self):
+        """With bottom ranked strictly best, the whole-lattice lists are the
+        lists of the literal loops on A minus bottom, as
+        duality_equivalence_report relies on."""
+        rng = random.Random(5)
+        moved = 0
+        for seed in range(300):
+            L = random_distributive_lattice(4, seed)
+            ranks = [rng.randint(-3, 3) for _ in range(L.n)]
+            moved += ranks[L.bottom] > min(ranks)
+            ranks[L.bottom] = min(ranks) - 1
+            W, nz = WeakOrder(ranks), nonzero_elements(L)
+            assert check_axiom1(L, W) == axiom1_by_loop(L, ranks, nz)
+            assert check_axiom2(L, W) == axiom2_by_loop(L, ranks, nz)
+        assert moved >= 100
 
     def test_upper_bound_is_not_strict(self):
         # r(b) == r(A | B) > max(r(A), r(B)): b = top and b = bottom violate
         ranks = (2, 1, 1, 2)
         assert (B2_A, B2_B) == (1, 2)
-        assert self.assert_agrees(B2, ranks, None) == [(1, 2, 0), (1, 2, 3), (2, 1, 0), (2, 1, 3)]
+        assert self.assert_agrees(B2, ranks) == [(1, 2, 0), (1, 2, 3), (2, 1, 0), (2, 1, 3)]
 
     def test_lower_bound_is_strict(self):
         # r(bottom) == max(r(A), r(B)) == 2: bottom does not violate, top does
-        assert self.assert_agrees(B2, (2, 1, 2, 3), None) == [(1, 2, 3), (2, 1, 3)]
-
-    def test_b_outside_the_domain(self):
-        # A and B in the domain, the only rank in (1, 2] is top's, outside it
-        W = WeakOrder((0, 1, 1, 2))
-        assert check_axiom2(B2, W, [0, 1, 2]) == []
-        assert axioms12_hold(B2, W, [0, 1, 2])
-        assert not axioms12_hold(B2, W)
-
-    def test_one_shot_domain(self):
-        # axiom 1 holds on {A, B, top} and axiom 2 fails at (A, B, top)
-        W = WeakOrder((0, 1, 1, 2))
-        assert not axioms12_hold(B2, W, [1, 2, 3])
-        assert not axioms12_hold(B2, W, iter([1, 2, 3]))
+        assert self.assert_agrees(B2, (2, 1, 2, 3)) == [(1, 2, 3), (2, 1, 3)]
 
     def test_listing_cap(self, monkeypatch):
         W = WeakOrder((2, 1, 1, 2))  # four triples
@@ -210,17 +188,6 @@ class TestAxiom2Certificate:
         with pytest.raises(TooLarge, match="axiom 2 has 4 violating triples"):
             check_axiom2(B2, W)
         assert not axioms12_hold(B2, W)  # the verdict lists no triple
-
-    def test_join_outside_the_domain(self):
-        # A | B = top lies outside the domain and still counts: bottom is
-        # ranked in (max(r(A), r(B)), r(top)]
-        ranks = (2, 1, 1, 3)
-        assert self.assert_agrees(B2, ranks, [0, 1, 2]) == [(1, 2, 0), (2, 1, 0)]
-        # the pair (A, B) outside the domain is no triple, though top, in
-        # it, is ranked in (max(r(A), r(B)), r(A | B)]
-        W = WeakOrder((0, 1, 1, 3))
-        assert check_axiom2(B2, W, [0, 3]) == []
-        assert axioms12_hold(B2, W, [0, 3])
 
 
 class TestAxiom3:

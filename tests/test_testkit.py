@@ -12,6 +12,7 @@ import pytest
 import lattimin
 from lattimin import Lattice, TooLarge, build_lattice, validate_laws
 from lattimin.io import lattice_from_dict
+from lattimin.preference import axioms12_hold, check_axiom1, check_axiom2
 from lattimin.spectrum import is_powerset_hom
 from lattimin.testkit import (
     random_distributive_lattice,
@@ -213,6 +214,14 @@ class TestShippedCode:
         assert list(inspect.signature(lattice_from_dict).parameters) == ["d"]
         assert list(inspect.signature(build_lattice).parameters) == [
             "meet_table", "join_table", "bottom", "top"]
+
+    def test_axioms_run_on_the_whole_lattice(self):
+        """The axiom 1 and 2 checks take the lattice and the order and
+        nothing else: no package module defines a domain mask."""
+        for check in (check_axiom1, check_axiom2, axioms12_hold):
+            assert list(inspect.signature(check).parameters) == ["L", "W"], check.__name__
+        for path in self.PACKAGE.glob("*.py"):
+            assert "_domain_mask" not in self.defined(path), path.name
 
     # Each construction that no command runs, and that left the package, ->
     # its one definition under tests/; None for check_representation_hom,
