@@ -1,4 +1,4 @@
-"""Dual orders between a lattice (minus bottom) and its spectral space.
+"""Dual orders between a lattice and its spectral space.
 
 The forward direction ranks prime filters by their best-ranked member; the
 backward direction ranks descriptions by their worst-ranked filter.  Both go
@@ -24,12 +24,17 @@ from .preference import (
 from .spectrum import SpectralSpace, enumerate_prime_filters
 
 
-def nonzero_elements(L: Lattice) -> list[int]:
-    return [a for a in range(L.n) if a != L.bottom]
+def _bottom_best(L: Lattice, W: WeakOrder) -> WeakOrder:
+    """W with bottom ranked strictly best, as dual_backward ranks it: on all of
+    L this checks the paper's duality on A minus bottom, as bottom then lies
+    in no violating pair or triple and in no disagreement."""
+    ranks = list(W.ranks)
+    ranks[L.bottom] = min(ranks) - 1
+    return WeakOrder(ranks)
 
 
 def dual_forward(L: Lattice, S: SpectralSpace, W: WeakOrder) -> WeakOrder:
-    """Order on spectrum points induced by W on the lattice minus bottom.
+    """Order on spectrum points induced by W; no point holds bottom.
 
     A point ranks by its best member.  The best member under W is the worst
     member under -W, so the checked worst-rank evaluator serves both
@@ -40,17 +45,14 @@ def dual_forward(L: Lattice, S: SpectralSpace, W: WeakOrder) -> WeakOrder:
     return WeakOrder(dense_ranks(-w for w in worst))
 
 
-def dual_backward(L: Lattice, S: SpectralSpace, V: WeakOrder) -> dict:
-    """Dense ranks over the lattice minus bottom induced by a point order:
-    each element ranks by the worst point of sigma(a)."""
-    nz = nonzero_elements(L)
-    worst = checked_worst_ranks(S.member.T[nz], V.ranks)
-    return dict(zip(nz, dense_ranks(worst)))
+def dual_backward(L: Lattice, S: SpectralSpace, V: WeakOrder) -> WeakOrder:
+    """Order on L induced by a point order: a ranks by the worst point of
+    sigma(a), so sigma(bottom) = ∅ ranks strictly best.  L is not read."""
+    return WeakOrder(dense_ranks(checked_worst_ranks(S.member.T, V.ranks)))
 
 
 @dataclass(frozen=True, eq=False)
 class DualityCertificate:
-    spectrum: SpectralSpace
     forward: WeakOrder
     agreement: bool
     counterexample: Optional[tuple[int, int]]
@@ -65,8 +67,8 @@ def roundtrip_check(L: Lattice, W: WeakOrder) -> DualityCertificate:
     S = enumerate_prime_filters(L)
     fwd = dual_forward(L, S, W)
     back = dual_backward(L, S, fwd)
-    counterexample = first_disagreement(W.ranks, back, nonzero_elements(L))
-    return DualityCertificate(S, fwd, counterexample is None, counterexample)
+    counterexample = first_disagreement(_bottom_best(L, W).ranks, back.ranks)
+    return DualityCertificate(fwd, counterexample is None, counterexample)
 
 
 @dataclass(frozen=True)
@@ -86,14 +88,12 @@ def duality_equivalence_report(L: Lattice, W: WeakOrder) -> DualityEquivalenceRe
     The witness condition holds at (a, b) iff some point G containing b has
     rank[a] <= the best rank in G; it is evaluated for every pair at once.
     """
-    nz = nonzero_elements(L)
-    ranks = list(W.ranks)
-    ranks[L.bottom] = min(ranks) - 1  # ⊥ strictly best lies in no violating pair or triple
-    ax = axioms12_hold(L, WeakOrder(ranks))
+    ax = axioms12_hold(L, _bottom_best(L, W))
     cert = roundtrip_check(L, W)
     r = np.asarray(W.ranks)
-    P = cert.spectrum.member
+    P = enumerate_prime_filters(L).member
     best = np.where(P, r, r.max()).min(1)  # points are non-empty
     witness = (r[:, None] <= best[None, :]) @ P  # witness[a, b]: some G witnesses (a, b)
+    nz = np.arange(L.n) != L.bottom  # no point contains bottom
     wit = bool((witness == (r[:, None] <= r[None, :]))[np.ix_(nz, nz)].all())
     return DualityEquivalenceReport(ax, cert.agreement, wit)

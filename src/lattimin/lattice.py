@@ -139,32 +139,14 @@ class Lattice:
         """(J, U) iff every law validate_laws checks holds, else None: J(L)
         as ascending indices and the read-only up-set matrix U, row i the
         up-set of J[i], which the spectrum and synthesis read.  Decided by
-        Birkhoff's representation instead of a scan of all triples.
-
-        The bound laws are checked directly.  The candidates S are the
-        non-bottom elements that no pair (a, b) gives as a | b outside {a, b},
-        and P[a] = {s in S : s <= a}.  If a -> P[a] is injective and sends
-        meet to intersection and join to union, the tables are isomorphic to
-        a sublattice of the powerset of S, where every law holds: the
-        certificate is sound for any S and any table.  On a distributive
-        lattice S is J(L), and by Birkhoff's theorem the map is such an
-        embedding, so every lawful table is accepted.  The products run over
-        the scan's row blocks; with fewer than n candidates, a block of P[M]
-        has fewer bytes than its n-by-n planes have entries.
+        Birkhoff's representation instead of a scan of all triples: the
+        bound laws directly, the others by _embedding, whose S on a lawful
+        table is J(L) and bottom.
         """
-        M, J, n = self.meet, self.join, self.n
-        if (M[self.bottom] != self.bottom).any() or (J[self.top] != self.top).any():
+        if not _bounds_hold(self) or (embedding := _embedding(self)) is None:
             return None
-        idx = np.arange(n)
-        joined = np.zeros(n, dtype=bool)  # c == a | b with c not in {a, b}
-        joined[J[(J != idx[:, None]) & (J != idx[None, :])]] = True
-        S = np.flatnonzero(~joined & (idx != self.bottom))
-        U = M[S] == S[:, None]  # U[i, a] iff S[i] <= a
-        P = np.ascontiguousarray(np.packbits(U, axis=0).T)
-        if len(row_classes(P)[1]) < n:
-            return None
-        if not _is_set_hom(self, P):
-            return None
+        S, U = embedding
+        S, U = S[S != self.bottom], U[S != self.bottom]
         S.setflags(write=False)  # shared by every caller
         U.setflags(write=False)
         return S, U
@@ -208,6 +190,37 @@ def _certify(L: Lattice) -> tuple[np.ndarray, np.ndarray]:
     return L.birkhoff
 
 
+def _bounds_hold(L: Lattice) -> bool:
+    """The bound laws, in O(n): bottom & a == bottom and top | a == top."""
+    return bool((L.meet[L.bottom] == L.bottom).all() and (L.join[L.top] == L.top).all())
+
+
+def _embedding(L: Lattice) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(S, U) iff a -> P[a] = {s in S : s <= a} embeds the tables in the
+    powerset of S, else None; row i of U is [S[i] <= a].
+
+    The candidates S are the elements that no pair (a, b) gives as a | b
+    outside {a, b}; the stored bottom is not trusted, so it is not left out.
+    If a -> P[a] is injective and sends meet to intersection and join to
+    union, the tables are isomorphic to a sublattice of the powerset of S,
+    where every law but the bound laws holds: the certificate is sound for
+    any S and any table.  On a distributive lattice S is J(L) and bottom,
+    and by Birkhoff's theorem the map is such an embedding.  The products
+    run over the scan's row blocks; with fewer than n candidates, a block
+    of P[M] has fewer bytes than its n-by-n planes have entries.
+    """
+    M, J, n = L.meet, L.join, L.n
+    idx = np.arange(n)
+    joined = np.zeros(n, dtype=bool)  # c == a | b with c not in {a, b}
+    joined[J[(J != idx[:, None]) & (J != idx[None, :])]] = True
+    S = np.flatnonzero(~joined)
+    U = M[S] == S[:, None]  # U[i, a] iff S[i] <= a
+    P = np.ascontiguousarray(np.packbits(U, axis=0).T)
+    if len(row_classes(P)[1]) < n or not _is_set_hom(L, P):
+        return None
+    return S, U
+
+
 def _is_set_hom(L: Lattice, P: np.ndarray) -> bool:
     """True iff the packed bit rows P, one set per element, satisfy
     P[a & b] == P[a] & P[b] and P[a | b] == P[a] | P[b] for every pair,
@@ -224,7 +237,8 @@ def _is_set_hom(L: Lattice, P: np.ndarray) -> bool:
 def _scan_laws(L: Lattice) -> Iterator[LawIssue]:
     """Yield each lattice-law violation as the scan of all pairs/triples
     finds it, each law over blocks of its first index, so memory stays
-    O(BLOCK_ELEMENTS) however large n is."""
+    O(BLOCK_ELEMENTS) however large n is.  When a bound law fails and
+    _embedding holds, only the two O(n) bound laws are scanned."""
     M, J = L.meet, L.join
     idx = np.arange(L.n)
     # law -> bad(s): where the law fails, first index restricted to slice s.
@@ -245,6 +259,8 @@ def _scan_laws(L: Lattice) -> Iterator[LawIssue]:
         "bottom-bound": lambda s: M[L.bottom, s] != L.bottom,
         "top-bound": lambda s: J[L.top, s] != L.top,
     }
+    if not _bounds_hold(L) and _embedding(L) is not None:
+        laws = {law: laws[law] for law in ("bottom-bound", "top-bound")}
     for law, bad in laws.items():
         for s in _row_blocks(L.n):
             where = np.argwhere(bad(s))

@@ -46,18 +46,15 @@ def dense_ranks(values) -> tuple[int, ...]:
     return tuple(order[v] for v in values)
 
 
-def first_disagreement(r, s, items) -> Optional[tuple[int, int]]:
-    """First pair (a, b) of items, in order, where r and s disagree on a <= b:
-    the first entry, in row-major order, where the items-by-items planes
-    [r(a) <= r(b)] and [s(a) <= s(b)] differ."""
-    items = list(items)
-    u = np.array([r[a] for a in items])
-    v = np.array([s[a] for a in items])
+def first_disagreement(r, s) -> Optional[tuple[int, int]]:
+    """First pair (a, b), in row-major order, where the rank vectors r and s
+    disagree on a <= b: the first entry where the planes [r(a) <= r(b)] and
+    [s(a) <= s(b)] differ."""
+    u, v = np.asarray(r), np.asarray(s)
     bad = (u[:, None] <= u) != (v[:, None] <= v)
     if not bad.any():
         return None
-    a, b = divmod(int(bad.argmax()), len(items))
-    return items[a], items[b]
+    return divmod(int(bad.argmax()), len(u))
 
 
 def _worst_ranks(M, ranks) -> list[int]:

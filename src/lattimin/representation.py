@@ -102,7 +102,7 @@ def verify_representation(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff the derived preference equals W on all of the carrier."""
     derived = derive_pref_from_rep(R)
-    witness = first_disagreement(W.ranks, derived.ranks, range(L.n))
+    witness = first_disagreement(W.ranks, derived.ranks)
     return witness is None, witness
 
 

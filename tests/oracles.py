@@ -195,6 +195,39 @@ def is_boolean(L: Lattice) -> bool:
     )
 
 
+def nonzero(L: Lattice) -> list:
+    """A minus bottom, ascending: the domain of the paper's duality theorem."""
+    return [a for a in range(L.n) if a != L.bottom]
+
+
+def laws_by_loop(L: Lattice) -> list:
+    """(law, witness) per broken lattice law, in validate_laws' law order,
+    each with its lexicographically first witness, by plain loops over the
+    elements."""
+    m, j = L.meet.tolist(), L.join.tolist()
+    laws = {
+        "meet-commutativity": (2, lambda a, b: m[a][b] != m[b][a]),
+        "join-commutativity": (2, lambda a, b: j[a][b] != j[b][a]),
+        "meet-associativity": (3, lambda a, b, c: m[m[a][b]][c] != m[a][m[b][c]]),
+        "join-associativity": (3, lambda a, b, c: j[j[a][b]][c] != j[a][j[b][c]]),
+        "join-absorption": (2, lambda a, b: j[a][m[a][b]] != a),
+        "meet-absorption": (2, lambda a, b: m[a][j[a][b]] != a),
+        "meet-over-join-distributivity": (
+            3, lambda a, b, c: m[a][j[b][c]] != j[m[a][b]][m[a][c]]),
+        "join-over-meet-distributivity": (
+            3, lambda a, b, c: j[a][m[b][c]] != m[j[a][b]][j[a][c]]),
+        "bottom-bound": (1, lambda a: m[L.bottom][a] != L.bottom),
+        "top-bound": (1, lambda a: j[L.top][a] != L.top),
+    }
+    found = []
+    for law, (arity, bad) in laws.items():
+        for w in itertools.product(range(L.n), repeat=arity):
+            if bad(*w):
+                found.append((law, w))
+                break
+    return found
+
+
 def axiom1_by_loop(L: Lattice, ranks, domain=None) -> list:
     """The literal definition: pairs (a, b) of the domain, in lexicographic
     order, with a <= b but r(a) > r(b)."""

@@ -10,8 +10,8 @@ from lattimin import (
     roundtrip_check,
     duality_equivalence_report,
 )
-from lattimin.duality import nonzero_elements
 from lattimin.lattice import downset_lattice, row_sets
+from lattimin.preference import dense_ranks
 from lattimin.testkit import (
     derived_weak_order,
     random_distributive_lattice,
@@ -26,6 +26,7 @@ from oracles import (
     enumerate_weak_orders,
     filter_witness,
     literal_dominance,
+    nonzero,
 )
 
 
@@ -61,17 +62,18 @@ class TestDualBackward:
     def test_chain3_recovers_strict(self):
         S = enumerate_prime_filters(CHAIN3)
         back = dual_backward(CHAIN3, S, WeakOrder((1, 0)))  # y above x
-        assert back[1] < back[2]
+        assert back == WeakOrder((0, 1, 2))
 
     def test_chain2_total_indifference(self):
         S = enumerate_prime_filters(CHAIN2)
-        assert dual_backward(CHAIN2, S, WeakOrder((0,))) == {1: 0}
+        assert dual_backward(CHAIN2, S, WeakOrder((0,))) == WeakOrder((0, 1))
 
     def test_b2_top_ties_with_worse_atom(self):
         S = enumerate_prime_filters(B2)
         back = dual_backward(B2, S, WeakOrder((0, 1)))  # F_a above F_b
-        assert back[B2_A] < back[B2_B]
-        assert back[B2.top] == back[B2_B]
+        assert back.strictly_prefers(B2.bottom, B2_A)
+        assert back.strictly_prefers(B2_A, B2_B)
+        assert back.indifferent(B2.top, B2_B)
 
 
 class TestRoundtrip:
@@ -104,7 +106,7 @@ class TestFilterWitness:
                 W = WeakOrder(ranks)
                 rep = duality_equivalence_report(L, W)
                 if rep.axioms_hold:
-                    for a in nonzero_elements(L):
+                    for a in nonzero(L):
                         assert filter_witness(L, S, W, a, a) is not None
 
 
@@ -136,7 +138,7 @@ class TestDualityEquivalence:
             cases.append((L, [rng.randint(-3, 3) for _ in range(L.n)]))
         verdicts = collections.Counter()
         for L, ranks in cases:
-            nz = nonzero_elements(L)
+            nz = nonzero(L)
             holds = not axiom1_by_loop(L, ranks, nz) and not axiom2_by_loop(L, ranks, nz)
             assert duality_equivalence_report(L, WeakOrder(ranks)).axioms_hold == holds
             bottom_not_best = ranks[L.bottom] > min(ranks)
@@ -159,16 +161,17 @@ class TestDualityEquivalence:
                         assert rel[i][j] == fwd.weakly_prefers(i, j)
 
     def test_backward_matches_literal_dominance(self):
+        """On the whole lattice, bottom included: sigma(bottom) = ∅ is
+        dominated by every set and dominates no other."""
         for seed in range(40):
             L = random_distributive_lattice(4, seed)
             S = enumerate_prime_filters(L)
             V = WeakOrder(tuple((i * 7 + seed) % 3 for i in range(len(S.points))))
             back = dual_backward(L, S, V)
-            nz = nonzero_elements(L)
-            rel = literal_dominance(row_sets(S.member.T[nz]), V.ranks)
-            for i, a in enumerate(nz):
-                for j, b in enumerate(nz):
-                    assert rel[i][j] == (back[a] <= back[b])
+            rel = literal_dominance(row_sets(S.member.T), V.ranks)
+            for a in range(L.n):
+                for b in range(L.n):
+                    assert rel[a][b] == back.weakly_prefers(a, b)
 
     def test_witness_matches_per_pair_filter_witness(self):
         rng = random.Random(11)
@@ -179,10 +182,53 @@ class TestDualityEquivalence:
                 W = derived_weak_order(L, seed)
             else:
                 W = WeakOrder(random_weak_order(L.n, rng))
-            nz = nonzero_elements(L)
+            nz = nonzero(L)
             per_pair = all(
                 (filter_witness(L, S, W, a, b) is not None) == W.weakly_prefers(a, b)
                 for a in nz
                 for b in nz
             )
             assert duality_equivalence_report(L, W).witness_matches == per_pair
+
+
+class TestWholeLattice:
+    """roundtrip_check and dual_backward run on the whole lattice with
+    bottom ranked strictly best, and give the answers of their definitions
+    on A minus bottom, evaluated here by plain loops."""
+
+    @staticmethod
+    def on_nonzero(L, W):
+        """(backward ranks on A minus bottom as a dict, first disagreeing
+        pair of A minus bottom or None), by loops over the points."""
+        S = enumerate_prime_filters(L)
+        fwd = dual_forward(L, S, W).ranks
+        nz = nonzero(L)
+        worst = [max(fwd[p] for p, G in enumerate(S.points) if a in G) for a in nz]
+        back = dict(zip(nz, dense_ranks(worst)))
+        for a in nz:
+            for b in nz:
+                if W.weakly_prefers(a, b) != (back[a] <= back[b]):
+                    return back, (a, b)
+        return back, None
+
+    def test_posets_up_to_four_points(self):
+        rng = random.Random(30)
+        kinds = collections.Counter()
+        for k in range(5):
+            for seed, P in enumerate(all_posets(k)):
+                L = downset_lattice(P)
+                derived = list(derived_weak_order(L, seed).ranks)
+                orders = [derived, derived[:]]
+                orders[1][L.bottom] = rng.randint(1, L.n)  # bottom not best
+                orders += [[rng.randint(-2, 2) for _ in range(L.n)] for _ in range(2)]
+                for ranks in orders:
+                    W = WeakOrder(ranks)
+                    back, counterexample = self.on_nonzero(L, W)
+                    cert = roundtrip_check(L, W)
+                    assert (cert.agreement, cert.counterexample) == (
+                        counterexample is None, counterexample)
+                    S = enumerate_prime_filters(L)
+                    assert dual_backward(L, S, cert.forward).ranks == tuple(
+                        0 if a == L.bottom else back[a] + 1 for a in range(L.n))
+                    kinds[counterexample is None, ranks[L.bottom] > min(ranks)] += 1
+        assert min(kinds.values()) >= 100 and len(kinds) == 4, kinds

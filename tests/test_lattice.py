@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     is_boolean,
     join_irreducibles,
     lattice_from_order,
+    laws_by_loop,
     relative_complement,
     relative_complements,
 )
@@ -195,6 +197,47 @@ class TestBirkhoffCertificate:
                         continue
                     assert [i.law for i in _scan_laws(T)] == [law]
                     assert T.birkhoff is None
+
+    def test_only_a_bound_broken_scans_only_the_bound_laws(self, monkeypatch):
+        """With only top or bottom wrong, _embedding certifies the other
+        eight laws, and the scan enters its row-block loop once per bound
+        law: no other law is evaluated.  The issues are the loop scan's."""
+        scanned = []
+        row_blocks = lattice_module._row_blocks
+
+        def spy(n, width=None):
+            if sys._getframe(1).f_code.co_name == "_scan_laws":
+                scanned.append(n)
+            return row_blocks(n, width)
+
+        monkeypatch.setattr(lattice_module, "_row_blocks", spy)
+        for L in (CHAIN3, B2):
+            for a in range(L.n):
+                for T in (with_bounds(L, a, L.top), with_bounds(L, L.bottom, a)):
+                    if (T.bottom, T.top) == (L.bottom, L.top):
+                        continue
+                    scanned.clear()
+                    issues = [(i.law, i.witness) for i in validate_laws(T)]
+                    assert scanned == [T.n, T.n]
+                    assert issues == laws_by_loop(T) != []
+        scanned.clear()
+        assert validate_laws(with_bounds(M3, 1, M3.top)) != [] and len(scanned) == 10
+
+    def test_issues_match_the_loop_scan(self):
+        """validate_laws lists the issues of the plain-loop scan on every
+        table of the law tests above: the fixtures, the seeded law-broken
+        tables, every 2-element table, and each bound moved on the lawful
+        lattices of at most 16 elements."""
+        tables = [CHAIN2, CHAIN3, B2, B3, M3, N5] + [random_tables(seed) for seed in range(600)]
+        for entries in itertools.product(range(2), repeat=10):
+            tables.append(Lattice(np.reshape(entries[:4], (2, 2)),
+                                  np.reshape(entries[4:8], (2, 2)), *entries[8:]))
+        for L in self.LAWFUL:
+            if L.n <= 16:
+                tables += [with_bounds(L, a, L.top) for a in range(L.n)]
+                tables += [with_bounds(L, L.bottom, a) for a in range(L.n)]
+        for T in tables:
+            assert [(i.law, i.witness) for i in validate_laws(T)] == laws_by_loop(T)
 
     def test_scan_runs_only_on_broken_input(self, monkeypatch):
         scanned = []

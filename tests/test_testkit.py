@@ -10,9 +10,17 @@ import random
 import pytest
 
 import lattimin
-from lattimin import Lattice, TooLarge, build_lattice, validate_laws
+from lattimin import (
+    DualityCertificate,
+    Lattice,
+    TooLarge,
+    WeakOrder,
+    build_lattice,
+    dual_backward,
+    validate_laws,
+)
 from lattimin.io import lattice_from_dict
-from lattimin.preference import axioms12_hold, check_axiom1, check_axiom2
+from lattimin.preference import axioms12_hold, check_axiom1, check_axiom2, first_disagreement
 from lattimin.spectrum import is_powerset_hom
 from lattimin.testkit import (
     random_distributive_lattice,
@@ -182,8 +190,9 @@ class TestShippedCode:
 
     def test_one_birkhoff_matrix(self):
         """The up-set matrix of J(L), a meet-table lookup compared with a
-        column of its own indices, is built only by Lattice.birkhoff; the
-        spectrum and synthesis read it there.  Only axiom 1 compares the
+        column of its own indices, is built only by lattice._embedding, the
+        law certificate that Lattice.birkhoff and the law scan share; the
+        spectrum and synthesis read it on Lattice.birkhoff.  Only axiom 1 compares the
         whole meet table with such a column, per call: no order table is
         stored."""
         def column_compare(node):
@@ -192,7 +201,7 @@ class TestShippedCode:
 
         assert self.where(
             lambda node: column_compare(node) and isinstance(node.left, ast.Subscript)
-        ) == {("lattice.py", "birkhoff")}
+        ) == {("lattice.py", "_embedding")}
         assert self.where(
             lambda node: column_compare(node) and isinstance(node.left, ast.Attribute)
         ) == {("preference.py", "_axiom1_pairs")}
@@ -222,6 +231,19 @@ class TestShippedCode:
             assert list(inspect.signature(check).parameters) == ["L", "W"], check.__name__
         for path in self.PACKAGE.glob("*.py"):
             assert "_domain_mask" not in self.defined(path), path.name
+
+    def test_duality_runs_on_the_whole_lattice(self):
+        """The duality layer keeps no form of A minus bottom: no package
+        module defines nonzero_elements, first_disagreement compares two
+        whole rank vectors, dual_backward returns a WeakOrder over L, and a
+        DualityCertificate does not carry the spectrum, which L caches."""
+        for path in self.PACKAGE.glob("*.py"):
+            assert "nonzero_elements" not in self.defined(path), path.name
+        assert list(inspect.signature(first_disagreement).parameters) == ["r", "s"]
+        back = dual_backward(CHAIN3, CHAIN3.spectrum, WeakOrder((1, 0)))
+        assert isinstance(back, WeakOrder) and back.n == CHAIN3.n
+        assert [f.name for f in dataclasses.fields(DualityCertificate)] == [
+            "forward", "agreement", "counterexample"]
 
     # Each construction that no command runs, and that left the package, ->
     # its one definition under tests/; None for check_representation_hom,
