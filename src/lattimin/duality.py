@@ -67,7 +67,9 @@ def roundtrip_check(L: Lattice, W: WeakOrder) -> DualityCertificate:
     S = enumerate_prime_filters(L)
     fwd = dual_forward(L, S, W)
     back = dual_backward(L, S, fwd)
-    counterexample = first_disagreement(_bottom_best(L, W).ranks, back.ranks)
+    ranks = _bottom_best(L, W).ranks
+    counterexample = (None if dense_ranks(ranks) == back.ranks
+                      else first_disagreement(ranks, back.ranks))
     return DualityCertificate(fwd, counterexample is None, counterexample)
 
 
@@ -95,5 +97,5 @@ def duality_equivalence_report(L: Lattice, W: WeakOrder) -> DualityEquivalenceRe
     best = np.where(P, r, r.max()).min(1)  # points are non-empty
     witness = (r[:, None] <= best[None, :]) @ P  # witness[a, b]: some G witnesses (a, b)
     nz = np.arange(L.n) != L.bottom  # no point contains bottom
-    wit = bool((witness == (r[:, None] <= r[None, :]))[np.ix_(nz, nz)].all())
+    wit = bool((witness == (r[:, None] <= r[None, :]))[nz][:, nz].all())
     return DualityEquivalenceReport(ax, cert.agreement, wit)

@@ -8,8 +8,8 @@ import os
 
 import numpy as np
 
-from .errors import LattiminError, TooLarge, about, quote
-from .lattice import Lattice, Poset, _certify, downset_lattice, row_lists
+from .errors import LattiminError, LawViolation, TooLarge, about, quote
+from .lattice import LawIssue, Lattice, Poset, _certify, downset_lattice, row_lists
 from .preference import WeakOrder
 from .representation import Representation
 from .spectrum import SpectralSpace
@@ -236,8 +236,9 @@ def _from_file(path, kind: str, read, *args):
         raise FormatError(f"{path}: bad {kind} file: {e}") from e
 
 
-# The bytes of the last lattice file loaded, and the Lattice read from them.
-_last_lattice: tuple = (None, None)
+# The bytes of the last lattice file loaded, the Lattice read from them, and
+# the first law it breaks, a LawIssue, once a validating load has found it.
+_last_lattice: tuple = (None, None, None)
 
 
 def load_lattice(path, validate=True) -> Lattice:
@@ -247,20 +248,29 @@ def load_lattice(path, validate=True) -> Lattice:
 
     A file whose bytes equal those of the last lattice file loaded gives
     the same (immutable) Lattice again, unparsed, whatever its path or
-    mtime; its law certificate is cached on it (Lattice.birkhoff), so a
-    process parses and certifies each distinct content once.  Only the
-    last file is kept, once it has parsed and passed its field checks, a
-    lawless table included; the byte budget is checked, and validate
-    applied, on every load.
+    mtime; its law certificate is cached on it (Lattice.birkhoff), and the
+    first broken law of a lawless one is kept with it, so a process parses,
+    certifies and scans each distinct content once.  Only the last file is
+    kept, once it has parsed and passed its field checks, a lawless table
+    included; the byte budget is checked, and validate applied, on every
+    load.
     """
     global _last_lattice
     data = _read(path)
-    last, L = _last_lattice
+    last, L, issue = _last_lattice
     if last != data:
         L = _from_file(path, "lattice", lattice_from_dict, _decode(path, data))
-        _last_lattice = data, L
+        _last_lattice = data, L, None
     if validate:
-        _from_file(path, "lattice", _certify, L)
+        if issue is None:
+            try:
+                _from_file(path, "lattice", _certify, L)
+            except LawViolation as e:
+                issue = LawIssue(e.law, e.witness)
+                _last_lattice = data, L, issue
+        if issue is not None:
+            with about(path):
+                raise LawViolation(issue.law, issue.witness)
     return L
 
 

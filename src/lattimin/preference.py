@@ -43,7 +43,7 @@ def dense_ranks(values) -> tuple[int, ...]:
     """Relabel comparable values to dense ranks 0..m-1, keeping their order."""
     values = list(values)
     order = {v: i for i, v in enumerate(sorted(set(values)))}
-    return tuple(order[v] for v in values)
+    return tuple(map(order.__getitem__, values))
 
 
 def first_disagreement(r, s) -> Optional[tuple[int, int]]:
@@ -112,13 +112,38 @@ def _axiom1_pairs(L: Lattice, r: np.ndarray) -> np.ndarray:
     return (L.meet == np.arange(L.n)[:, None]) & (r[:, None] > r[None, :])
 
 
+def _maximin(L: Lattice, r: np.ndarray) -> bool:
+    """Whether axioms 1-2 hold by the paper's maximin identity: r(a) =
+    max(r(bottom), max r(j) over j in J(L) with j <= a) for every a, read off
+    L.birkhoff's (J, U), column a of U the j <= a.  False when L is lawless.
+
+    Sound and complete on a distributive L.  Axiom 1 makes r monotone and
+    axiom 2 with b = a | a' makes r(a | a') <= max(r(a), r(a')), so r is a
+    join-homomorphism into (ranks, max), and every a is the join of the j
+    below it.  Conversely the identity makes r monotone, and as
+    join-irreducibles are join-prime, the j below a | a' are those below a
+    or a', so r(a | a') = max(r(a), r(a')) and no triple violates axiom 2."""
+    if (birkhoff := L.birkhoff) is None:
+        return False
+    J, U = birkhoff
+    floor = r[L.bottom]
+    return bool((np.where(U, r[J][:, None], floor).max(0, initial=floor) == r).all())
+
+
+def _list_axiom1(L: Lattice, r: np.ndarray) -> list:
+    """check_axiom1's pairs, found by the scan of all pairs."""
+    bad = _axiom1_pairs(L, r)
+    _refuse_over_cap(1, int(bad.sum()), "pairs")
+    return list(map(tuple, np.argwhere(bad).tolist()))
+
+
 def check_axiom1(L: Lattice, W: WeakOrder) -> list:
     """Violating pairs (a, b) with a <= b in the lattice but a not >= b in W.
-    TooLarge, before any pair is listed, if there are more than
+    Empty without a scan when _maximin certifies axioms 1-2.  TooLarge,
+    before any pair is listed, if there are more than
     MAX_LISTED_VIOLATIONS."""
-    bad = _axiom1_pairs(L, np.asarray(W.ranks))
-    _refuse_over_cap(1, int(bad.sum()), "pairs")
-    return [tuple(int(v) for v in w) for w in np.argwhere(bad)]
+    r = np.asarray(W.ranks)
+    return [] if _maximin(L, r) else _list_axiom1(L, r)
 
 
 def _axiom2_rows(L: Lattice, r: np.ndarray) -> np.ndarray:
@@ -138,13 +163,10 @@ def _axiom2_rows(L: Lattice, r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def check_axiom2(L: Lattice, W: WeakOrder) -> list:
-    """Violating triples (a, a', b): a > b and a' > b but (a | a') not > b,
-    in lexicographic order.  The triples are scanned only on the rows a that
-    _axiom2_rows flags, in blocks of a, so memory stays O(BLOCK_ELEMENTS)
-    however large n is.  TooLarge, before any triple is listed, if there are
-    more than MAX_LISTED_VIOLATIONS."""
-    r = np.asarray(W.ranks)
+def _list_axiom2(L: Lattice, r: np.ndarray) -> list:
+    """check_axiom2's triples, scanned only on the rows a that _axiom2_rows
+    flags, in blocks of a, so memory stays O(BLOCK_ELEMENTS) however large n
+    is."""
     counts = _axiom2_rows(L, r)
     flagged = np.flatnonzero(counts)
     if not flagged.size:
@@ -155,8 +177,19 @@ def check_axiom2(L: Lattice, W: WeakOrder) -> list:
     for s in _row_blocks(flagged.size, L.n * L.n):
         a = flagged[s]
         bad = strict[a, None, :] & strict[None, :, :] & (r[L.join[a]][:, :, None] >= r)
-        out += [(int(a[i]), int(a2), int(b)) for i, a2, b in np.argwhere(bad)]
+        found = np.argwhere(bad)
+        found[:, 0] = a[found[:, 0]]  # block row -> element a
+        out += map(tuple, found.tolist())
     return out
+
+
+def check_axiom2(L: Lattice, W: WeakOrder) -> list:
+    """Violating triples (a, a', b): a > b and a' > b but (a | a') not > b,
+    in lexicographic order.  Empty without a scan when _maximin certifies
+    axioms 1-2.  TooLarge, before any triple is listed, if there are more
+    than MAX_LISTED_VIOLATIONS."""
+    r = np.asarray(W.ranks)
+    return [] if _maximin(L, r) else _list_axiom2(L, r)
 
 
 def check_axiom3(L: Lattice, W: WeakOrder) -> list:
@@ -168,11 +201,11 @@ def check_axiom3(L: Lattice, W: WeakOrder) -> list:
     k, _ = row_classes((r == r[L.bottom])[L.meet])
     bad = np.triu((k[:, None] == k) & (r[:, None] != r), 1)
     _refuse_over_cap(3, int(bad.sum()), "pairs")
-    return [(int(a), int(a2)) for a, a2 in np.argwhere(bad)]
+    return list(map(tuple, np.argwhere(bad).tolist()))
 
 
 def axioms12_hold(L: Lattice, W: WeakOrder) -> bool:
-    """Whether axioms 1 and 2 hold; axiom 2 by its certificate alone,
-    without listing triples."""
+    """Whether axioms 1 and 2 hold: by _maximin, or where it fails, by the
+    pair scan and axiom 2's count certificate, without listing triples."""
     r = np.asarray(W.ranks)
-    return not (_axiom1_pairs(L, r).any() or _axiom2_rows(L, r).any())
+    return _maximin(L, r) or not (_axiom1_pairs(L, r).any() or _axiom2_rows(L, r).any())

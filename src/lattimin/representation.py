@@ -30,8 +30,9 @@ from .lattice import (
 )
 from .preference import (
     WeakOrder,
-    check_axiom1,
-    check_axiom2,
+    _list_axiom1,
+    _list_axiom2,
+    _maximin,
     checked_worst_ranks,
     dense_ranks,
     first_disagreement,
@@ -42,8 +43,7 @@ from .spectrum import SpectralSpace, is_powerset_hom
 def _class_tables(L: Lattice, cls: np.ndarray, reps) -> tuple:
     """The meet and join tables of L/θ, θ the partition with class id cls[a]
     per element a, on reps, one element of each class in class order."""
-    ix = np.ix_(reps, reps)
-    return cls[L.meet[ix]], cls[L.join[ix]]
+    return cls[L.meet[reps][:, reps]], cls[L.join[reps][:, reps]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,28 +102,31 @@ def verify_representation(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff the derived preference equals W on all of the carrier."""
     derived = derive_pref_from_rep(R)
-    witness = first_disagreement(W.ranks, derived.ranks)
-    return witness is None, witness
+    if dense_ranks(W.ranks) == derived.ranks:
+        return True, None
+    return False, first_disagreement(W.ranks, derived.ranks)
 
 
 def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     """Build the canonical minimal representation of an axiom-satisfying W.
 
-    Axioms 1-2 are mandatory (AxiomViolation otherwise).  The congruences of
-    L are a -> {j in J' : j <= a} for the subsets J' of J(L); θ* keeps J*,
-    the labels j of the covers a < a | j that change rank.  Its states, the
-    prime filters of L/θ*, are ↑j for j in J*, read on one representative
-    per class.
+    Axioms 1-2 are mandatory (AxiomViolation otherwise), certified once by
+    the maximin identity and scanned only when it fails.  The congruences
+    of L are a -> {j in J' : j <= a} for the subsets J' of J(L); θ* keeps
+    J*, the j whose rank exceeds r(bottom) and the rank of every j' < j:
+    for a maximin W these are the labels of the covers a < a | j that
+    change rank.  Its states, the prime filters of L/θ*, are ↑j for j in
+    J*, read on one representative per class.
     """
-    v1 = check_axiom1(L, W)
-    v2 = check_axiom2(L, W)
-    if v1 or v2:
-        raise AxiomViolation({"axiom1": v1, "axiom2": v2})
-    J, up = _certify(L)  # row i of up: ↑J[i]
     r = np.asarray(W.ranks)
-    h = up.sum(0)  # h[a] = |{j in J(L) : j <= a}|
-    b = L.join[:, J]  # b[a, i] = a | J[i], which covers a iff h[b] == h[a] + 1
-    keep = ((h[b] == h[:, None] + 1) & (r[b] != r[:, None])).any(0)
+    if not _maximin(L, r):
+        v1, v2 = _list_axiom1(L, r), _list_axiom2(L, r)
+        if v1 or v2:
+            raise AxiomViolation({"axiom1": v1, "axiom2": v2})
+    J, up = _certify(L)  # row i of up: ↑J[i]
+    rJ, floor = r[J], r[L.bottom]
+    below = up[:, J] & ~np.eye(len(J), dtype=bool)  # below[i, k]: J[i] < J[k]
+    keep = rJ > np.where(below, rJ[:, None], floor).max(0, initial=floor)
     P = up[keep]  # column a: {j in J* : j <= a}, the θ*-class of a
     cls, reps = row_classes(P.T)
     S = SpectralSpace(P[:, reps])
@@ -146,8 +149,12 @@ def factor_check(
     Returns the surjective homomorphism when the kernel inclusion holds, or a
     Refutation with the first witness pair when it does not.
     """
+    # one hom check over both sigmas side by side; only when it fails are
+    # they checked one at a time, for the first one to name
+    homs = (R_other.sigma.shape[0] == R_min.sigma.shape[0] == L.n
+            and is_powerset_hom(L, np.hstack((R_other.sigma, R_min.sigma))))
     for R in (R_other, R_min):
-        if not is_powerset_hom(L, R.sigma):
+        if not homs and not is_powerset_hom(L, R.sigma):
             raise NotARepresentation("sigma_map is not a bounded-lattice hom")
         ok, _ = verify_representation(L, W, R)
         if not ok:

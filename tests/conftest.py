@@ -12,7 +12,7 @@ from lattimin.testkit import random_distributive_lattice
 def fresh_lattice_memo(monkeypatch):
     """Each test starts with no lattice file remembered by io.load_lattice,
     so a test that writes a file parses it, whatever earlier tests loaded."""
-    monkeypatch.setattr(io_module, "_last_lattice", (None, None))
+    monkeypatch.setattr(io_module, "_last_lattice", (None, None, None))
 
 
 def same_tables(L1, L2):

@@ -249,6 +249,19 @@ def axiom2_by_loop(L: Lattice, ranks, domain=None) -> list:
     ]
 
 
+def keep_by_covers(L: Lattice, ranks) -> frozenset:
+    """J*, the join-irreducibles that synthesis keeps, by the cover test:
+    the j in J(L) that label some cover a < a | j, counted as
+    |J(L) below a | j| == |J(L) below a| + 1, whose two ends differ in rank."""
+    J = sorted(join_irreducibles(L))
+    meet, join = L.meet.tolist(), L.join.tolist()
+    h = [sum(meet[j][a] == j for j in J) for a in range(L.n)]
+    return frozenset(
+        j for j in J for a in range(L.n)
+        if h[join[a][j]] == h[a] + 1 and ranks[join[a][j]] != ranks[a]
+    )
+
+
 def trivializer_set(L: Lattice, W: WeakOrder, a: int) -> frozenset:
     """{b : a & b ~ bottom}, the set of descriptions trivializing a: the
     literal definition, which check_axiom3 evaluates for every a at once."""

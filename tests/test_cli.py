@@ -19,7 +19,7 @@ from lattimin import representation as representation_module
 from lattimin.cli import main
 from lattimin.io import lattice_to_dict, representation_to_dict
 from lattimin.lattice import Lattice, Poset, downset_lattice
-from lattimin.preference import WeakOrder
+from lattimin.preference import WeakOrder, check_axiom1, check_axiom2, check_axiom3
 from lattimin.representation import derive_pref_from_rep, minimal_representation
 from lattimin.spectrum import enumerate_prime_filters, finite_topology_report
 from lattimin.testkit import (
@@ -32,6 +32,9 @@ from lattimin.testkit import (
 from fixtures import B2, CHAIN3, M3, N5, chain
 from oracles import (
     all_posets,
+    axiom1_by_loop,
+    axiom2_by_loop,
+    axiom3_by_loop,
     congruence_beta_prime,
     duplicate_outcome,
     representation_by_quotient,
@@ -256,6 +259,42 @@ def pipeline_reports(tmp_path, prefill=0) -> bytes:
             case[verb] = json.loads(report.read_text()) if code != 2 else None
         out.append(case)
     return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestBlockSize:
+    """BLOCK_ELEMENTS bounds the memory of a blocked step and changes no
+    byte: at 1 and 7, where every block holds one row, and at the default,
+    where these inputs are one block, the axiom lists of seeded reject
+    orders and the golden reports are the same."""
+
+    @staticmethod
+    def reject_orders():
+        """Seeded random orders on down-set lattices of more than 8 elements."""
+        rng = random.Random(21)
+        for seed in range(60):
+            L = random_distributive_lattice(6, seed)
+            if L.n > 8:
+                yield L, WeakOrder(random_weak_order(L.n, rng))
+
+    def test_no_list_or_report_depends_on_it(self, tmp_path, monkeypatch):
+        def run():
+            monkeypatch.setattr(io_module, "_last_lattice", (None, None, None))
+            lists = [(check_axiom1(L, W), check_axiom2(L, W), check_axiom3(L, W))
+                     for L, W in self.reject_orders()]
+            return lists, pipeline_reports(tmp_path), validate_reports(tmp_path)
+
+        runs = []
+        for size in (1, 7, lattice_module.BLOCK_ELEMENTS):
+            monkeypatch.setattr(lattice_module, "BLOCK_ELEMENTS", size)
+            runs.append(run())
+        assert runs[0] == runs[1] == runs[2]
+        lists, pipeline, validate = runs[2]
+        assert pipeline == (GOLDEN / "cli_reports.json").read_bytes()
+        assert validate == (GOLDEN / "validate_broken.json").read_bytes()
+        assert lists == [(axiom1_by_loop(L, W.ranks), axiom2_by_loop(L, W.ranks),
+                          axiom3_by_loop(L, W)) for L, W in self.reject_orders()]
+        rows = [len({a for a, _, _ in v2}) for _, v2, _ in lists]
+        assert len(lists) >= 10 and sum(k >= 2 for k in rows) >= 10, rows
 
 
 class TestSpectrumGolden:
@@ -1351,7 +1390,9 @@ class TestLatticeMemo:
                                                  parses):
         """validate reads the table unvalidated and keeps it; every verb that
         needs a lattice still refuses it, axioms (which certifies nothing of
-        its own) included."""
+        its own) included.  validate scans for every issue, and the first
+        refused load scans for the first one, which the memo keeps: no later
+        load scans again."""
         scans = []
         scan = lattice_module._scan_laws
         monkeypatch.setattr(lattice_module, "_scan_laws", lambda L: scans.append(L) or scan(L))
@@ -1363,7 +1404,7 @@ class TestLatticeMemo:
             assert main([*argv, "--lattice", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == self.LAW_ERROR.format(path)
-        assert parses == [str(path)] and len(scans) == 4
+        assert parses == [str(path)] and len(scans) == 2
 
     def test_size_check_before_law_check_on_every_load(self, tmp_path, capsys, parses):
         """A table that breaks a law and misstates n: every verb names n,

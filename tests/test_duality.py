@@ -86,6 +86,13 @@ class TestRoundtrip:
         assert not cert.agreement
         assert cert.counterexample == (1, 2)
 
+    def test_counterexample_under_non_dense_ranks(self):
+        """A above top breaks axiom 1; with bottom ranked strictly best the
+        first pair that the round trip gets wrong is (A, top)."""
+        assert roundtrip_check(B2, WeakOrder((5, -2, 9, 9))).counterexample is None
+        cert = roundtrip_check(B2, WeakOrder((5, 9, -2, 3)))
+        assert not cert.agreement and cert.counterexample == (B2_A, B2.top)
+
     def test_chain2_trivial(self):
         assert roundtrip_check(CHAIN2, WeakOrder((0, 0))).agreement
 

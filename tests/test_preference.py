@@ -1,11 +1,14 @@
 import collections
+import contextlib
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattimin import (
+    AxiomViolation,
     Representation,
     WeakOrder,
     check_axiom1,
@@ -15,8 +18,9 @@ from lattimin import (
     dual_backward,
     dual_forward,
     enumerate_prime_filters,
+    minimal_representation,
 )
-from lattimin.errors import TooLarge
+from lattimin.errors import LawViolation, TooLarge
 from lattimin.lattice import BLOCK_ELEMENTS, Poset, downset_lattice, membership
 from lattimin import preference
 from lattimin.preference import (
@@ -188,6 +192,84 @@ class TestAxiom2Certificate:
         with pytest.raises(TooLarge, match="axiom 2 has 4 violating triples"):
             check_axiom2(B2, W)
         assert not axioms12_hold(B2, W)  # the verdict lists no triple
+
+
+class TestMaximinCertificate:
+    """_maximin, the maximin identity r(a) = max(r(bottom), max r(j) over
+    j in J(L) below a), holds iff the literal loops find no axiom 1 pair and
+    no axiom 2 triple, on raw ranks and with bottom ranked strictly best;
+    the scans run only where it fails or L is lawless."""
+
+    @staticmethod
+    def decide(L, ranks):
+        """The certificate's verdicts on ranks and on ranks with bottom
+        ranked strictly best, each checked against the literal loops."""
+        best = list(ranks)
+        best[L.bottom] = min(ranks) - 1
+        verdicts = []
+        for r in (list(ranks), best):
+            holds = not axiom1_by_loop(L, r) and not axiom2_by_loop(L, r)
+            assert preference._maximin(L, np.asarray(r)) == holds, (L.meet.tolist(), r)
+            verdicts.append(holds)
+        return tuple(verdicts)
+
+    def test_every_rank_vector_on_lattices_of_at_most_five_elements(self):
+        lattices = {}
+        for k in range(5):
+            for P in all_posets(k):
+                L = downset_lattice(P)
+                if L.n <= 5:
+                    lattices.setdefault(L.join.tobytes(), L)
+        kinds = collections.Counter()
+        for L in lattices.values():
+            for ranks in itertools.product(range(L.n), repeat=L.n):
+                kinds.update(self.decide(L, ranks))
+        assert len(lattices) == 8 and kinds[True] >= 1000 and kinds[False] >= 10000, kinds
+
+    def test_every_poset_of_at_most_four_points_under_seeded_orders(self):
+        rng = random.Random(31)
+        kinds = collections.Counter()
+        for k in range(5):
+            for P in all_posets(k):
+                L = downset_lattice(P)
+                for ranks in (derived_weak_order(L, rng.randrange(1 << 16)).ranks,
+                              [rng.randint(-3, 3) for _ in range(L.n)]):
+                    kinds.update(self.decide(L, ranks))
+        assert kinds[True] >= 400 and kinds[False] >= 400, kinds
+
+    def test_seeded_lattices_under_random_and_derived_orders(self):
+        rng = random.Random(32)
+        kinds = collections.Counter()
+        for seed in range(300):
+            L = random_distributive_lattice(5, seed)
+            for ranks in (derived_weak_order(L, seed).ranks, random_weak_order(L.n, rng),
+                          [rng.randint(-3, 3) for _ in range(L.n)]):
+                kinds.update(self.decide(L, ranks))
+        assert kinds[True] >= 800 and kinds[False] >= 800, kinds
+
+    def test_scans_run_only_where_the_certificate_fails(self, monkeypatch):
+        entered = []
+        for name in ("_axiom1_pairs", "_axiom2_rows"):
+            scan = getattr(preference, name)
+            monkeypatch.setattr(preference, name,
+                                lambda L, r, scan=scan: entered.append(L) or scan(L, r))
+        rng = random.Random(33)
+        kinds = collections.Counter()
+        for seed in range(150):
+            L = random_tables(seed) if seed % 3 == 0 else random_distributive_lattice(5, seed)
+            W = (derived_weak_order(L, seed) if seed % 3 == 1
+                 else WeakOrder(random_weak_order(L.n, rng)))
+            holds = preference._maximin(L, np.asarray(W.ranks))
+            entered.clear()
+            check_axiom1(L, W)
+            check_axiom2(L, W)
+            axioms12_hold(L, W)
+            with contextlib.suppress(AxiomViolation, LawViolation):
+                minimal_representation(L, W)
+            assert bool(entered) == (not holds), seed
+            kinds[L.birkhoff is None, holds] += 1
+        assert kinds[False, True] >= 30 and kinds[False, False] >= 30, kinds
+        assert kinds[True, False] >= 30 and not kinds[True, True], kinds
 
 
 class TestAxiom3:
@@ -375,6 +457,28 @@ class TestFirstDisagreement:
             for s_arg in (s, np.array(s, dtype=np.int64)):
                 assert preference.first_disagreement(r, s_arg) == expected
         assert found == {True, False}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_none_iff_dense_ranks_are_equal(self, data):
+        """first_disagreement finds no pair exactly where the dense ranks
+        agree, which verify_representation and roundtrip_check test first;
+        s is often r under an increasing relabelling, negative, repeated and
+        non-dense values included, and r and s each a tuple or an array."""
+        values = st.integers(-6, 6)
+        r = data.draw(st.lists(values, max_size=8))
+        if data.draw(st.booleans()):
+            lift = sorted(data.draw(st.sets(st.integers(-99, 99), min_size=13, max_size=13)))
+            s = [lift[v + 6] for v in r]
+            if r and data.draw(st.booleans()):
+                s[data.draw(st.integers(0, len(r) - 1))] += data.draw(st.sampled_from((-1, 1)))
+        else:
+            s = data.draw(st.lists(values, min_size=len(r), max_size=len(r)))
+        same = dense_ranks(r) == dense_ranks(s)
+        for u in (tuple(r), np.array(r, dtype=np.int64)):
+            for v in (tuple(s), np.array(s, dtype=np.int64)):
+                assert (preference.first_disagreement(u, v) is None) == same
+                assert preference.first_disagreement(u, v) == self.by_loop(r, s)
 
     def test_late_disagreement_at_1024_items(self):
         """The only disagreeing pair is (b, a), the last two elements,

@@ -45,6 +45,7 @@ from oracles import (
     duplicate_outcome,
     enumerate_weak_orders,
     join_irreducibles,
+    keep_by_covers,
     kernel,
     kernel_split_by_loop,
     point_mask,
@@ -243,6 +244,29 @@ class TestSynthesisOracle:
             assert verify_representation(L, W, minimal_representation(L, W))[0]
 
 
+class TestKeepRule:
+    """Synthesis keeps the j in J(L) ranked above r(bottom) and above every
+    j' < j; on a maximin order these are the j the cover test keeps.  Each
+    outcome x of the result has sigma^-1(x) = ↑j for its kept j."""
+
+    @staticmethod
+    def kept(L, R):
+        J, up = L.birkhoff
+        columns = {col.tobytes() for col in np.ascontiguousarray(R.sigma.T)}
+        return frozenset(int(j) for j, row in zip(J, up) if row.tobytes() in columns)
+
+    def test_matches_the_cover_test_on_derived_orders(self):
+        lattices = [downset_lattice(P) for k in range(5) for P in all_posets(k)]
+        lattices += [random_distributive_lattice(5, seed) for seed in range(300)]
+        dropped = 0
+        for seed, L in enumerate(lattices):
+            W = derived_weak_order(L, seed)
+            kept = self.kept(L, minimal_representation(L, W))
+            assert kept == keep_by_covers(L, W.ranks), seed
+            dropped += len(kept) < len(L.birkhoff[0])
+        assert dropped >= 100
+
+
 class TestDerivePref:
     def test_roundtrip_through_minimal_rep(self):
         R = minimal_representation(CHAIN3, W3)
@@ -316,6 +340,14 @@ class TestVerifyRepresentation:
         ok, counterexample = verify_representation(CHAIN3, W3, flipped)
         assert not ok and counterexample is not None
 
+    def test_witness_is_the_first_disagreeing_pair(self):
+        """W's ranks are not dense; W agrees with the order R derives but
+        for the two atoms, swapped, so (A, B) is the first pair where they
+        disagree."""
+        R = minimal_representation(B2, WeakOrder((-7, 3, 9, 9)))
+        assert verify_representation(B2, WeakOrder((-7, 3, 9, 9)), R) == (True, None)
+        assert verify_representation(B2, WeakOrder((-7, 9, 3, 9)), R) == (False, (B2_A, B2_B))
+
     def test_constant_order_with_constant_sigma(self):
         # the empty image is strictly best under worst-case comparison, so a
         # totally indifferent order needs the same image everywhere
@@ -370,6 +402,19 @@ class TestFactorCheck:
         R_min = minimal_representation(CHAIN3, W3)
         for pair in ((R_bad, R_min), (R_min, R_bad)):
             with pytest.raises(NotARepresentation, match="not a bounded-lattice hom"):
+                factor_check(CHAIN3, W3, *pair)
+
+    def test_sigma_with_the_wrong_row_count_rejected_in_order(self):
+        """A sigma with a row per element of another lattice is no hom of
+        L: factor_check names it as it names any non-hom, after the checks
+        of the representations before it."""
+        R_min = minimal_representation(CHAIN3, W3)
+        R_short = Representation(2, (frozenset(), {1}), (1, 0))
+        R_rev = Representation(2, R_min.sigma_map, tuple(reversed(R_min.outcome_ranks)))
+        for pair, message in (((R_short, R_min), "not a bounded-lattice hom"),
+                              ((R_min, R_short), "not a bounded-lattice hom"),
+                              ((R_rev, R_short), "does not reproduce W")):
+            with pytest.raises(NotARepresentation, match=message):
                 factor_check(CHAIN3, W3, *pair)
 
     def test_representation_of_another_order_rejected(self):
