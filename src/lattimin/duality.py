@@ -67,9 +67,7 @@ def roundtrip_check(L: Lattice, W: WeakOrder) -> DualityCertificate:
     S = enumerate_prime_filters(L)
     fwd = dual_forward(L, S, W)
     back = dual_backward(L, S, fwd)
-    ranks = _bottom_best(L, W).ranks
-    counterexample = (None if dense_ranks(ranks) == back.ranks
-                      else first_disagreement(ranks, back.ranks))
+    counterexample = first_disagreement(_bottom_best(L, W).ranks, back.ranks)
     return DualityCertificate(fwd, counterexample is None, counterexample)
 
 

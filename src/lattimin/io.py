@@ -259,8 +259,8 @@ def load_lattice(path, validate=True) -> Lattice:
     data = _read(path)
     last, L, issue = _last_lattice
     if last != data:
-        L = _from_file(path, "lattice", lattice_from_dict, _decode(path, data))
-        _last_lattice = data, L, None
+        L, issue = _from_file(path, "lattice", lattice_from_dict, _decode(path, data)), None
+        _last_lattice = data, L, issue
     if validate:
         if issue is None:
             try:

@@ -49,7 +49,10 @@ def dense_ranks(values) -> tuple[int, ...]:
 def first_disagreement(r, s) -> Optional[tuple[int, int]]:
     """First pair (a, b), in row-major order, where the rank vectors r and s
     disagree on a <= b: the first entry where the planes [r(a) <= r(b)] and
-    [s(a) <= s(b)] differ."""
+    [s(a) <= s(b)] differ.  The planes agree iff the dense ranks do, so
+    those are compared first, and the planes built only to name the pair."""
+    if dense_ranks(r) == dense_ranks(s):
+        return None
     u, v = np.asarray(r), np.asarray(s)
     bad = (u[:, None] <= u) != (v[:, None] <= v)
     if not bad.any():
@@ -130,20 +133,17 @@ def _maximin(L: Lattice, r: np.ndarray) -> bool:
     return bool((np.where(U, r[J][:, None], floor).max(0, initial=floor) == r).all())
 
 
-def _list_axiom1(L: Lattice, r: np.ndarray) -> list:
-    """check_axiom1's pairs, found by the scan of all pairs."""
-    bad = _axiom1_pairs(L, r)
-    _refuse_over_cap(1, int(bad.sum()), "pairs")
-    return list(map(tuple, np.argwhere(bad).tolist()))
-
-
 def check_axiom1(L: Lattice, W: WeakOrder) -> list:
     """Violating pairs (a, b) with a <= b in the lattice but a not >= b in W.
     Empty without a scan when _maximin certifies axioms 1-2.  TooLarge,
     before any pair is listed, if there are more than
     MAX_LISTED_VIOLATIONS."""
     r = np.asarray(W.ranks)
-    return [] if _maximin(L, r) else _list_axiom1(L, r)
+    if _maximin(L, r):
+        return []
+    bad = _axiom1_pairs(L, r)
+    _refuse_over_cap(1, int(bad.sum()), "pairs")
+    return list(map(tuple, np.argwhere(bad).tolist()))
 
 
 def _axiom2_rows(L: Lattice, r: np.ndarray) -> np.ndarray:
@@ -163,10 +163,16 @@ def _axiom2_rows(L: Lattice, r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _list_axiom2(L: Lattice, r: np.ndarray) -> list:
-    """check_axiom2's triples, scanned only on the rows a that _axiom2_rows
-    flags, in blocks of a, so memory stays O(BLOCK_ELEMENTS) however large n
-    is."""
+def check_axiom2(L: Lattice, W: WeakOrder) -> list:
+    """Violating triples (a, a', b): a > b and a' > b but (a | a') not > b,
+    in lexicographic order.  Empty without a scan when _maximin certifies
+    axioms 1-2.  Otherwise the triples are scanned only on the rows a that
+    _axiom2_rows flags, in blocks of a, so memory stays O(BLOCK_ELEMENTS)
+    however large n is.  TooLarge, before any triple is listed, if there are
+    more than MAX_LISTED_VIOLATIONS."""
+    r = np.asarray(W.ranks)
+    if _maximin(L, r):
+        return []
     counts = _axiom2_rows(L, r)
     flagged = np.flatnonzero(counts)
     if not flagged.size:
@@ -181,15 +187,6 @@ def _list_axiom2(L: Lattice, r: np.ndarray) -> list:
         found[:, 0] = a[found[:, 0]]  # block row -> element a
         out += map(tuple, found.tolist())
     return out
-
-
-def check_axiom2(L: Lattice, W: WeakOrder) -> list:
-    """Violating triples (a, a', b): a > b and a' > b but (a | a') not > b,
-    in lexicographic order.  Empty without a scan when _maximin certifies
-    axioms 1-2.  TooLarge, before any triple is listed, if there are more
-    than MAX_LISTED_VIOLATIONS."""
-    r = np.asarray(W.ranks)
-    return [] if _maximin(L, r) else _list_axiom2(L, r)
 
 
 def check_axiom3(L: Lattice, W: WeakOrder) -> list:

@@ -30,9 +30,9 @@ from .lattice import (
 )
 from .preference import (
     WeakOrder,
-    _list_axiom1,
-    _list_axiom2,
     _maximin,
+    check_axiom1,
+    check_axiom2,
     checked_worst_ranks,
     dense_ranks,
     first_disagreement,
@@ -102,9 +102,8 @@ def verify_representation(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff the derived preference equals W on all of the carrier."""
     derived = derive_pref_from_rep(R)
-    if dense_ranks(W.ranks) == derived.ranks:
-        return True, None
-    return False, first_disagreement(W.ranks, derived.ranks)
+    witness = first_disagreement(W.ranks, derived.ranks)
+    return witness is None, witness
 
 
 def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
@@ -120,7 +119,7 @@ def minimal_representation(L: Lattice, W: WeakOrder) -> Representation:
     """
     r = np.asarray(W.ranks)
     if not _maximin(L, r):
-        v1, v2 = _list_axiom1(L, r), _list_axiom2(L, r)
+        v1, v2 = check_axiom1(L, W), check_axiom2(L, W)
         if v1 or v2:
             raise AxiomViolation({"axiom1": v1, "axiom2": v2})
     J, up = _certify(L)  # row i of up: ↑J[i]
@@ -149,12 +148,8 @@ def factor_check(
     Returns the surjective homomorphism when the kernel inclusion holds, or a
     Refutation with the first witness pair when it does not.
     """
-    # one hom check over both sigmas side by side; only when it fails are
-    # they checked one at a time, for the first one to name
-    homs = (R_other.sigma.shape[0] == R_min.sigma.shape[0] == L.n
-            and is_powerset_hom(L, np.hstack((R_other.sigma, R_min.sigma))))
     for R in (R_other, R_min):
-        if not homs and not is_powerset_hom(L, R.sigma):
+        if not is_powerset_hom(L, R.sigma):
             raise NotARepresentation("sigma_map is not a bounded-lattice hom")
         ok, _ = verify_representation(L, W, R)
         if not ok:

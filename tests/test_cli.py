@@ -1406,6 +1406,30 @@ class TestLatticeMemo:
             assert captured.out == "" and captured.err == self.LAW_ERROR.format(path)
         assert parses == [str(path)] and len(scans) == 2
 
+    def test_kept_law_issue_is_dropped_with_its_bytes(self, chain3_file, w3_file, tmp_path,
+                                                      capsys, parses):
+        """The broken law kept for one lawless table is not reported for the
+        next file: a lawful table then loads, and another lawless one names
+        its own law."""
+        other = {"bottom": 0, "top": 2, "meet": [[0, 0, 0], [0, 1, 2], [0, 1, 2]],
+                 "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]]}
+        first, second = tmp_path / "lawless.json", tmp_path / "other.json"
+        first.write_text(json.dumps(self.LAWLESS))
+        second.write_text(json.dumps(other))
+        assert main(["spectrum", "--lattice", str(first)]) == 2
+        assert capsys.readouterr().err == self.LAW_ERROR.format(first)
+        for verb in (["spectrum"], ["axioms", "--pref", w3_file]):
+            assert main([*verb, "--lattice", chain3_file]) in (0, 1)
+            assert capsys.readouterr().err == ""
+        assert main(["spectrum", "--lattice", str(first)]) == 2
+        capsys.readouterr()
+        assert main(["spectrum", "--lattice", str(second)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {second}: meet-commutativity violated at witness (1, 2)\n"
+        )
+        assert [p for p in parses if p != w3_file] == [str(first), chain3_file, str(first),
+                                                       str(second)]
+
     def test_size_check_before_law_check_on_every_load(self, tmp_path, capsys, parses):
         """A table that breaks a law and misstates n: every verb names n,
         since the field checks come before the law check, and a load that
